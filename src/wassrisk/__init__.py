@@ -41,6 +41,7 @@ from .losses import (
     check_L_membership,
     finiteness_threshold,
     lambda_c_transform,
+    lambda_c_transform_many,
     loss_value,
 )
 from .penalizations import (
@@ -109,6 +110,7 @@ __all__ = [
     "expected_transform",
     "finiteness_threshold",
     "lambda_c_transform",
+    "lambda_c_transform_many",
     "loss_value",
     "mean",
     "partial_moment_minus",

@@ -14,7 +14,7 @@ from the loss's polynomial growth bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -77,12 +77,15 @@ class GeneralizedQuantile:
         _check_alpha(self.alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomLoss:
     """Convex increasing loss given as a callable plus its growth certificate
-    h(x) <= growth_constant * (1 + |x|^growth_power)."""
+    h(x) <= growth_constant * (1 + |x|^growth_power).
 
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    Two custom losses are equal when they hold the same evaluator object (by
+    identity: callables cannot be compared by value) and the same bound."""
+
+    evaluator: Callable[[np.ndarray], np.ndarray]
     growth_constant: float = 0.0
     growth_power: float = 1.0
 
@@ -91,6 +94,17 @@ class CustomLoss:
             raise ValueError("growth_constant must be nonnegative")
         if self.growth_power < 1.0:
             raise ValueError("growth_power must be >= 1")
+
+    def _key(self) -> tuple:
+        return (id(self.evaluator), self.growth_constant, self.growth_power)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CustomLoss):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 LossSpec = Union[Pinball, AsymQuadratic, GeneralizedQuantile, CustomLoss]
@@ -220,50 +234,174 @@ def finiteness_threshold(loss: LossSpec, cost: CostExponent) -> float:
     return _growth_certificate(loss, cost)
 
 
-def _numeric_sup(loss: LossSpec, cost: CostExponent, lam: float, x: float) -> float:
-    """Grid-plus-golden maximization of l(y) - lam*|x-y|^p over a certified
-    window [x-R, x+R]; outside it the objective sits below l(x) - 1."""
-    c_eff = _growth_certificate(loss, cost)
-    p = cost.p
-    lx = float(loss_value(loss, x))
-    radius = 1.0
+_GRID_STEP = 1e-3  # finest spacing of the argmax grid
+_WINDOW_POINTS = 200_001  # a wider window gets a coarser spacing
+_GRID_CAP = 1 << 19  # points per shared grid; atom sets needing more are split
+_ZOOM_BUDGET = 4096  # points per refinement round, spread over the atoms
+
+
+def _cost(d: np.ndarray, p: float) -> np.ndarray:
+    """|d|^p, computed in place in d."""
+    np.abs(d, out=d)
+    if p != 1.0:
+        np.power(d, p, out=d)
+    return d
+
+
+def _truncation_radii(c_eff: float, p: float, lam: float, xs: np.ndarray, lx: np.ndarray) -> np.ndarray:
+    """Per atom, the first R in 1, 2, 4, ... with
+    c_eff*(1 + (|x|+R)^p) - lam*R^p <= l(x) - 1: beyond [x-R, x+R] the
+    objective sits below its value at y = x minus one."""
+    radius = np.ones_like(xs)
+    todo = np.arange(xs.size)
+    ax = np.abs(xs)
     for _ in range(200):
-        tail = c_eff * (1.0 + (abs(x) + radius) ** p) - lam * radius**p
-        if tail <= lx - 1.0:
-            break
-        radius *= 2.0
-    else:
-        raise UncertifiedGrowth("could not certify a truncation radius; lambda too close to C")
-    step = 1e-3
-    n = int(min(2.0 * radius / step, 200_001)) + 1
-    grid = np.linspace(x - radius, x + radius, n)
-    step = grid[1] - grid[0]
-    obj = np.asarray(loss_value(loss, grid)) - lam * np.abs(x - grid) ** p
-    k = int(np.argmax(obj))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, n - 1)]
+        r = radius[todo]
+        tail = c_eff * (1.0 + (ax[todo] + r) ** p) - lam * r**p
+        todo = todo[tail > lx[todo] - 1.0]
+        if todo.size == 0:
+            return radius
+        radius[todo] *= 2.0
+    raise UncertifiedGrowth("could not certify a truncation radius; lambda too close to C")
 
-    def neg(y: float) -> float:
-        return -(float(loss_value(loss, y)) - lam * abs(x - y) ** p)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = neg(c1), neg(c2)
-    for _ in range(80):
-        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = neg(c1)
+def _shared_grid(lo: np.ndarray, hi: np.ndarray, step: float) -> Optional[np.ndarray]:
+    """Sorted points covering the union of the windows [lo_i, hi_i] with
+    spacing at most `step`; None when that takes more than _GRID_CAP points."""
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+    left = lo[first]
+    right = reach[np.append(first[1:] - 1, lo.size - 1)]
+    counts = np.ceil((right - left) / step).astype(np.intp) + 1
+    total = int(counts.sum())
+    if total > _GRID_CAP:
+        return None
+    return np.concatenate([np.linspace(l, r, c) for l, r, c in zip(left, right, counts.tolist())])
+
+
+def _monotone_argmax(
+    gain: np.ndarray, grid: np.ndarray, xs: np.ndarray, lam: float, p: float,
+    first: np.ndarray, last: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost argmax and max of every row of M[i, j] = gain[j] -
+    lam*|xs[i] - grid[j]|^p, searched in columns first[i]..last[i], for
+    ascending xs.
+
+    M is Monge because |.|^p is convex, so the leftmost row argmax is
+    nondecreasing in i: divide and conquer solves the middle row of every
+    open row range at once, and its argmax splits the columns left to the
+    rows above and below.  Each level touches O(n + G) entries, the whole
+    search O((n + G) log n), and M is never formed.
+    """
+    n = xs.size
+    arg = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    # open row ranges as columns [first row, last row, first col, last col]
+    seg = np.array([[0], [n - 1], [0], [grid.size - 1]], dtype=np.intp)
+    while seg.shape[1]:
+        r_lo, r_hi, c_lo, c_hi = seg
+        mid = (r_lo + r_hi) // 2
+        lo = np.maximum(c_lo, first[mid])
+        hi = np.minimum(c_hi, last[mid])
+        bad = lo > hi
+        if bad.any():
+            # float ties can break monotonicity by a column; the window
+            # itself always holds the row's argmax
+            lo[bad], hi[bad] = first[mid[bad]], last[mid[bad]]
+        if mid.size == 1:  # one contiguous column range: no gathers needed
+            m, c0, c1 = int(mid[0]), int(lo[0]), int(hi[0]) + 1
+            vals = gain[c0:c1] - lam * _cost(grid[c0:c1] - xs[m], p)
+            j = int(np.argmax(vals))
+            k = np.array([c0 + j])
+            arg[m], best[m] = c0 + j, vals[j]
         else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = neg(c2)
-    best = max(float(obj[k]), -f1, -f2)
+            counts = hi - lo + 1
+            starts = np.cumsum(counts) - counts
+            cols = np.repeat(lo - starts, counts)
+            cols += np.arange(cols.size)
+            d = grid[cols]
+            d -= np.repeat(xs[mid], counts)
+            d = _cost(d, p)
+            d *= lam
+            vals = gain[cols]
+            vals -= d
+            del d
+            row_max = np.maximum.reduceat(vals, starts)
+            hits = np.flatnonzero(vals == np.repeat(row_max, counts))
+            k = cols[hits[np.searchsorted(hits, starts)]]
+            arg[mid], best[mid] = k, row_max
+        seg = np.concatenate(
+            [np.stack([r_lo, mid - 1, c_lo, k])[:, mid > r_lo], np.stack([mid + 1, r_hi, k, c_hi])[:, mid < r_hi]],
+            axis=1,
+        )
+    return arg, best
+
+
+def _sorted_sup(
+    loss: LossSpec, p: float, lam: float, xs: np.ndarray, radius: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """Suprema for ascending xs with certified radii and per-atom grid steps."""
+    lo, hi = xs - radius, xs + radius
+    grid = _shared_grid(lo, hi, float(step.min()))
+    if grid is None:
+        half = xs.size // 2
+        return np.concatenate([
+            _sorted_sup(loss, p, lam, xs[:half], radius[:half], step[:half]),
+            _sorted_sup(loss, p, lam, xs[half:], radius[half:], step[half:]),
+        ])
+    gain = np.asarray(loss_value(loss, grid), dtype=float)
+    if np.isnan(gain).any():
+        raise ValueError("loss evaluator returned NaN")
+    first = np.searchsorted(grid, lo, side="left")
+    last = np.searchsorted(grid, hi, side="right") - 1
+    k, best = _monotone_argmax(gain, grid, xs, lam, p, first, last)
+
+    # zoom on [y_{k-1}, y_{k+1}]: every round evaluates a local grid of
+    # `cells` cells per atom in one loss call and keeps the two cells around
+    # its argmax, until the bracket is below 1e-12 relative.  About
+    # _ZOOM_BUDGET points a round balance the per-round overhead against the
+    # points evaluated: few atoms take few wide rounds, many take narrow ones.
+    a = np.maximum(grid[np.maximum(k - 1, 0)], lo)
+    b = np.minimum(grid[np.minimum(k + 1, grid.size - 1)], hi)
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    cells = 2 ** min(max(int(math.log2(_ZOOM_BUDGET / xs.size)), 3), 10)
+    need = float(np.max((b - a) / tol))
+    rounds = math.ceil(math.log(need) / math.log(cells / 2)) if need > 1.0 else 0
+    t = np.linspace(0.0, 1.0, cells + 1)
+    rows = np.arange(xs.size)
+    for _ in range(rounds):
+        pts = a[:, None] + (b - a)[:, None] * t
+        vals = np.asarray(loss_value(loss, pts.ravel()), dtype=float).reshape(pts.shape)
+        vals -= lam * _cost(pts - xs[:, None], p)
+        j = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[rows, j])
+        a = pts[rows, np.maximum(j - 1, 0)]
+        b = pts[rows, np.minimum(j + 1, cells)]
     return best
+
+
+def _numeric_sup(loss: LossSpec, cost: CostExponent, lam: float, xs: np.ndarray, c_eff: float) -> np.ndarray:
+    """sup_y { l(y) - lam*|x-y|^p } for every x in xs, for lam above the
+    certified growth constant c_eff.
+
+    Each atom's supremum lies in a certified window [x-R, x+R].  The loss is
+    evaluated once on a grid covering the union of the windows, at the
+    finest spacing any single window would get (1e-3, coarser only for
+    windows wider than 200 units), a monotone matrix search finds every
+    atom's grid argmax, and a batched zoom refines all atoms together to a
+    relative bracket width of 1e-12.
+    """
+    p = cost.p
+    lx = np.asarray(loss_value(loss, xs), dtype=float)
+    radius = _truncation_radii(c_eff, p, lam, xs, lx)
+    n_points = np.minimum(2.0 * radius / _GRID_STEP, _WINDOW_POINTS).astype(np.intp) + 1
+    step = 2.0 * radius / (n_points - 1)
+    order = np.argsort(xs, kind="stable")
+    out = np.empty(xs.size)
+    out[order] = _sorted_sup(loss, p, lam, xs[order], radius[order], step[order])
+    return out
 
 
 def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float) -> float:
@@ -298,9 +436,26 @@ def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float)
         xp = max(x, 0.0)
         xm = max(-x, 0.0)
         return big_a * xp * xp + big_b * xm * xm
-    if lam <= _growth_certificate(loss, cost):
+    c_eff = _growth_certificate(loss, cost)
+    if lam <= c_eff:
         return INF
-    return _numeric_sup(loss, cost, lam, x)
+    return float(_numeric_sup(loss, cost, lam, np.array([float(x)]), c_eff)[0])
+
+
+def lambda_c_transform_many(loss: LossSpec, cost: CostExponent, lam: float, xs) -> np.ndarray:
+    """lambda_c_transform at every point of xs, as a float array.
+
+    Losses without a closed form certify their growth once and share one
+    grid and one refinement across all points."""
+    if lam < 0.0:
+        raise ValueError("lambda must be nonnegative")
+    xs = np.asarray(xs, dtype=float).ravel()
+    if closed_form_kind(loss, cost) is not None or xs.size == 0:
+        return np.array([lambda_c_transform(loss, cost, lam, float(x)) for x in xs])
+    c_eff = _growth_certificate(loss, cost)
+    if lam <= c_eff:
+        return np.full(xs.size, INF)
+    return _numeric_sup(loss, cost, lam, xs, c_eff)
 
 
 def check_L_membership(
@@ -311,13 +466,9 @@ def check_L_membership(
     tol: float = 1e-7,
 ) -> bool:
     """Numeric certificate for transform(x) >= transform(0) + x on the grid."""
-    t0 = lambda_c_transform(loss, cost, lam, 0.0)
+    xs = np.asarray(grid, dtype=float).ravel()
+    t = lambda_c_transform_many(loss, cost, lam, np.concatenate([[0.0], xs]))
+    t0, tx = t[0], t[1:]
     if math.isinf(t0):
         return False
-    for x in grid:
-        tx = lambda_c_transform(loss, cost, lam, float(x))
-        if math.isinf(tx):
-            continue
-        if tx < t0 + float(x) - tol:
-            return False
-    return True
+    return not np.any(np.isfinite(tx) & (tx < t0 + xs - tol))

@@ -47,7 +47,7 @@ from .losses import (
     LossSpec,
     closed_form_kind,
     finiteness_threshold,
-    lambda_c_transform,
+    lambda_c_transform_many,
     loss_value,
     pinball_coefficients,
     quad_coefficients,
@@ -160,13 +160,10 @@ def expected_transform(
         xs, w = d.values, d.weights
     else:
         xs, w = _discretized_atoms(d)
-    acc = 0.0
-    for x, wi in zip(xs, w):
-        t = lambda_c_transform(loss, cost, lam, float(x) - m)
-        if math.isinf(t):
-            return INF
-        acc += wi * t
-    return acc
+    t = lambda_c_transform_many(loss, cost, lam, xs - m)
+    if np.any(np.isinf(t)):
+        return INF
+    return float(np.dot(w, t))
 
 
 def _functional_detail(
@@ -322,10 +319,11 @@ def _minimize_in_m(
     if flat_right and m2 >= hi - opt.interval_resolution:
         m2 = hi
 
+    # one-sided slopes just outside the reported interval: the objective must
+    # not fall to the left of m1 nor to the right of m2
     h = max(opt.interval_resolution, 10.0 * opt.m_tol)
-    f_at = f(m_star)
-    left_ok = m_star - h <= lo or (f_at - f(m_star - h)) / h <= opt.foc_tol
-    right_ok = m_star + h >= hi or (f(m_star + h) - f_at) / h >= -opt.foc_tol
+    left_ok = m1 - h <= lo or (f(m1) - f(m1 - h)) / h <= opt.foc_tol
+    right_ok = m2 + h >= hi or (f(m2 + h) - f(m2)) / h >= -opt.foc_tol
     converged = (not hit_cap) and left_ok and right_ok
     return f_min, (m1, m2), m_star, converged
 

@@ -11,11 +11,16 @@ from wassrisk import (
     Pinball,
     PowerLoss,
     UncertifiedGrowth,
+    Empirical,
     check_L_membership,
+    expected_transform,
     finiteness_threshold,
     lambda_c_transform,
+    lambda_c_transform_many,
     loss_value,
 )
+
+from reference_sup import reference_sup
 
 P1 = CostExponent(1.0)
 P2 = CostExponent(2.0)
@@ -133,6 +138,116 @@ class TestNumericAgreement:
         cu = CustomLoss(lambda y: 1.0 + max(float(y), 0.0), 1.0, 1.0)
         got = lambda_c_transform(cu, P1, 2.0, 1.5)
         assert got == pytest.approx(2.5, abs=1e-6)
+
+
+def power_custom(a, b, p):
+    """a*(y^+)^p + b*(y^-)^p with its growth bound for cost exponent p."""
+    return CustomLoss(
+        lambda y: a * np.maximum(y, 0.0) ** p + b * np.maximum(-y, 0.0) ** p, max(a, b), p
+    )
+
+
+def reference_many(loss, cost, lam, xs):
+    return np.array([reference_sup(loss, cost, lam, float(x)) for x in xs])
+
+
+class TestBatchedTransform:
+    """The batched supremum against the per-atom grid-plus-golden oracle."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_random_atoms_with_duplicates(self, rng, p):
+        cost = CostExponent(p)
+        for _ in range(3):
+            a = float(rng.uniform(0.1, 0.9))
+            loss = power_custom(a, 1.0 - a, p)
+            xs = rng.normal(0.0, 2.0, 25)
+            xs[5:9] = xs[0]  # duplicates, left unsorted
+            for margin in (0.05, 0.6, 4.0):
+                lam = max(a, 1.0 - a) + margin
+                got = lambda_c_transform_many(loss, cost, lam, xs)
+                np.testing.assert_allclose(got, reference_many(loss, cost, lam, xs), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_single_atom_and_scalar_call(self, rng, p):
+        cost = CostExponent(p)
+        loss = CustomLoss(lambda y: np.logaddexp(0.0, y), 1.0, 1.0)
+        thr = finiteness_threshold(loss, cost)
+        for x in rng.uniform(-5.0, 5.0, 5):
+            for lam in (thr + 0.2, thr + 1.5, thr + 6.0):
+                want = reference_sup(loss, cost, lam, float(x))
+                assert lambda_c_transform_many(loss, cost, lam, [x])[0] == pytest.approx(want, abs=1e-9)
+                assert lambda_c_transform(loss, cost, lam, float(x)) == pytest.approx(want, abs=1e-9)
+
+    def test_non_closed_form_family(self, rng):
+        loss = GeneralizedQuantile(0.4, PowerLoss(1.0, 1.5), PowerLoss(2.0, 1.2))
+        xs = rng.uniform(-3.0, 3.0, 12)
+        for lam in (finiteness_threshold(loss, P2) + 0.1, 5.0):
+            got = lambda_c_transform_many(loss, P2, lam, xs)
+            np.testing.assert_allclose(got, reference_many(loss, P2, lam, xs), rtol=0.0, atol=1e-9)
+
+    def test_far_clusters_keep_the_grid_to_the_windows(self, rng):
+        # two clusters 2500 apart with unit windows: a grid spanning the atoms
+        # would hold 2.5e6 points, one covering the windows a few thousand
+        seen = []
+
+        def h(y):
+            seen.append(np.size(y))
+            return 0.7 * np.maximum(y, 0.0) + 0.3 * np.maximum(-y, 0.0)
+
+        loss = CustomLoss(h, 0.7, 1.0)
+        xs = np.concatenate([500.0 + rng.uniform(-0.5, 0.5, 10), 3000.0 + rng.uniform(-0.5, 0.5, 10)])
+        got = lambda_c_transform_many(loss, P1, 3.0, xs)
+        assert sum(seen) < 50_000
+        np.testing.assert_allclose(got, reference_many(loss, P1, 3.0, xs), rtol=0.0, atol=1e-9)
+
+    def test_wide_windows_split_the_grid(self):
+        # the atom at -600 needs a window of half-width 512 and the one near
+        # zero a spacing of 1e-3: one shared grid would exceed its cap, so
+        # the atoms are solved in two groups
+        sizes = []
+
+        def h(y):
+            sizes.append(np.size(y))
+            return 0.7 * np.maximum(y, 0.0) + 0.3 * np.maximum(-y, 0.0)
+
+        loss = CustomLoss(h, 0.7, 1.0)
+        xs = np.array([0.5, -600.0])
+        got = lambda_c_transform_many(loss, P1, 1.2, xs)
+        assert max(sizes) <= 200_002
+        np.testing.assert_allclose(got, reference_many(loss, P1, 1.2, xs), rtol=0.0, atol=1e-9)
+
+    def test_scalar_only_evaluator_in_expected_transform(self, rng):
+        loss = CustomLoss(lambda y: 0.6 * max(float(y), 0.0) + 0.4 * max(-float(y), 0.0), 0.6, 1.0)
+        xs = rng.normal(0.0, 1.0, 6)
+        w = rng.dirichlet(np.ones(6))
+        d = Empirical(tuple(zip(xs.tolist(), w.tolist())))
+        want = float(np.dot(d.weights, reference_many(loss, P1, 2.0, d.values - 0.3)))
+        assert expected_transform(d, loss, P1, 2.0, 0.3) == pytest.approx(want, abs=1e-9)
+
+    def test_closed_forms_and_non_finite_values(self, rng):
+        xs = rng.uniform(-3.0, 3.0, 7)
+        got = lambda_c_transform_many(AsymQuadratic(0.3), P2, 1.4, xs)
+        assert got.tolist() == [lambda_c_transform(AsymQuadratic(0.3), P2, 1.4, float(x)) for x in xs]
+        assert np.all(np.isinf(lambda_c_transform_many(quad_custom(0.3), P2, 0.7, xs)))
+        # a loss that is +inf inside a window (and off the growth-certificate
+        # grid) makes that transform +inf
+        barrier = CustomLoss(lambda y: np.where((y > 60.0) & (y < 70.0), np.inf, np.maximum(y, 0.0)), 1.0, 1.0)
+        vals = lambda_c_transform_many(barrier, P1, 2.0, [-20.0, 59.0])
+        assert math.isfinite(vals[0]) and vals[1] == math.inf
+        hole = CustomLoss(lambda y: np.where((y > 60.0) & (y < 70.0), np.nan, np.maximum(y, 0.0)), 1.0, 1.0)
+        with pytest.raises(ValueError):
+            lambda_c_transform_many(hole, P1, 2.0, [59.0])
+
+
+class TestCustomLossEquality:
+    def test_evaluator_compared_by_identity(self):
+        f = lambda y: np.maximum(y, 0.0)  # noqa: E731
+        g = lambda y: np.maximum(y, 0.0)  # noqa: E731
+        assert CustomLoss(f, 1.0, 2.0) == CustomLoss(f, 1.0, 2.0)
+        assert hash(CustomLoss(f, 1.0, 2.0)) == hash(CustomLoss(f, 1.0, 2.0))
+        assert CustomLoss(f, 1.0, 2.0) != CustomLoss(g, 1.0, 2.0)
+        assert CustomLoss(f, 1.0, 2.0) != CustomLoss(f, 1.5, 2.0)
+        assert len({CustomLoss(f, 1.0, 2.0), CustomLoss(g, 1.0, 2.0)}) == 2
 
 
 class TestTransformShape:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +196,19 @@ class TestRobustOce:
         free = robust_oce(d, ONE_PLUS, P1, LinearPenalty(2.0))
         restricted = robust_oce(d, ONE_PLUS, P1, LinearPenalty(2.0), SearchOptions(restrict_to_support=True))
         assert free.value == pytest.approx(restricted.value, abs=1e-7)
+
+    def test_converged_at_a_kinked_minimum(self):
+        # a 178-atom prior whose ball objective falls steeply into a kink and
+        # then rises at a slope of about 3e-5; the golden search stops on that
+        # shallow side, where the slope to its left exceeds foc_tol, while the
+        # slopes outside the reported interval certify the minimum
+        data = json.loads((Path(__file__).parent / "data" / "oce_ball_kink.json").read_text())
+        d = emp(data["values"], data["weights"])
+        loss, phi = AsymQuadratic(data["alpha"]), BallPenalty(data["delta"])
+        rv = robust_oce(d, loss, P2, phi)
+        assert rv.converged
+        m_star = 0.5 * sum(rv.argmin_m)
+        assert rv.value == pytest.approx(m_star + robust_functional(d, loss, P2, phi, m_star), abs=1e-7)
 
     def test_result_invariants(self, rng):
         for _ in range(5):
