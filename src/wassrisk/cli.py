@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .distributions import (
     Exponential,
@@ -45,6 +45,8 @@ EXIT_INFEASIBLE = 2
 EXIT_DOMAIN = 3
 
 CSV_HEADER = "alpha,delta,robust,expectile,var,mean,iters,converged"
+# solver outcomes a sweep records as a failed row instead of stopping
+_ROW_ERRORS = (MomentUndefined, Infeasible, NoConvergence, DeltaTooSmall)
 
 
 class UsageError(Exception):
@@ -229,32 +231,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--out is required for sweeps")
     opt = _search_options(args)
 
+    # the classical columns depend on alpha alone: each is computed once, on
+    # the first row that needs it, and a failure is remembered as None
+    classical: dict[object, Optional[float]] = {}
+
+    def once(key: object, fn: Callable[[], float]) -> Optional[float]:
+        if key not in classical:
+            try:
+                classical[key] = fn()
+            except _ROW_ERRORS:
+                classical[key] = None
+        return classical[key]
+
     rows: list[tuple[float, float, float, float, float, float, int, bool]] = []
-    skipped = 0
     for alpha in alphas:
         for delta in deltas:
             if args.penalty == "linear" and delta <= max(alpha, 1.0 - alpha):
-                skipped += 1
                 print(
                     f"skipping alpha={alpha!r} delta={delta!r}: "
                     "linear slope must exceed max(alpha, 1-alpha)",
                     file=sys.stderr,
                 )
                 continue
+            row = (alpha, delta, math.nan, math.nan, math.nan, math.nan, 0, False)
             try:
                 robust, iters = _sweep_point(d, args.penalty, alpha, delta, opt)
-                row = (
-                    alpha,
-                    delta,
-                    robust,
-                    expectile(d, alpha),
-                    var(d, alpha),
-                    mean(d),
-                    iters,
-                    True,
-                )
-            except (MomentUndefined, Infeasible, NoConvergence, DeltaTooSmall):
-                row = (alpha, delta, math.nan, math.nan, math.nan, math.nan, 0, False)
+            except _ROW_ERRORS:
+                rows.append(row)
+                continue
+            ecl = once(("expectile", alpha), lambda: expectile(d, alpha))
+            q = once(("var", alpha), lambda: var(d, alpha))
+            mu = once("mean", lambda: mean(d))
+            if ecl is not None and q is not None and mu is not None:
+                row = (alpha, delta, robust, ecl, q, mu, iters, True)
             rows.append(row)
 
     lines = [CSV_HEADER]

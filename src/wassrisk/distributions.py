@@ -5,7 +5,9 @@ partial moments E[((X-m)^+)^k] and E[((X-m)^-)^k] for k in {1, 2}, the mean
 and quantiles.  Those are implemented in closed form for the empirical,
 normal and exponential families, and through exact tail identities built on
 the Student-t distribution function (absolute accuracy better than 1e-10).
-All values are immutable after construction and every operation is pure.
+Each family class carries its own formulas; the module functions check their
+arguments and dispatch to the class.  All values are immutable after
+construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import MomentUndefined
 
 WEIGHT_SUM_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_DISCRETIZE_N = 2001
+_BULK_TAIL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,100 @@ class Empirical:
     def negate(self) -> "Empirical":
         return Empirical(tuple((-v, w) for v, w in self.points))
 
+    def upper_partial_moment(self, m: float, power: int) -> float:
+        cw, cwx, cwx2 = self._cw, self._cwx, self._cwx2  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
+        w_tail = 1.0 - (float(cw[i - 1]) if i > 0 else 0.0)
+        wx_tail = float(cwx[-1]) - (float(cwx[i - 1]) if i > 0 else 0.0)
+        if power == 1:
+            return max(wx_tail - m * w_tail, 0.0)
+        wx2_tail = float(cwx2[-1]) - (float(cwx2[i - 1]) if i > 0 else 0.0)
+        return max(wx2_tail - 2.0 * m * wx_tail + m * m * w_tail, 0.0)
+
+    def lower_partial_moment(self, m: float, power: int) -> float:
+        cw, cwx, cwx2 = self._cw, self._cwx, self._cwx2  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
+        if i == 0:
+            return 0.0
+        w_head, wx_head = float(cw[i - 1]), float(cwx[i - 1])
+        if power == 1:
+            return max(m * w_head - wx_head, 0.0)
+        wx2_head = float(cwx2[i - 1])
+        return max(m * m * w_head - 2.0 * m * wx_head + wx2_head, 0.0)
+
+    def expected_value(self) -> float:
+        return float(np.dot(self._x, self._w))  # type: ignore[attr-defined]
+
+    def second_moments_finite(self) -> bool:
+        return True
+
+    def ppf(self, alpha: float) -> float:
+        i = int(np.searchsorted(self._cw, alpha, side="left"))  # type: ignore[attr-defined]
+        return float(self._x[min(i, len(self._x) - 1)])  # type: ignore[attr-defined]
+
+    def cdf(self, m: float) -> float:
+        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
+        return float(self._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
+
+    def prob_above(self, m: float) -> float:
+        """P(X > m)."""
+        return max(1.0 - self.cdf(m), 0.0)
+
+    def prob_below(self, m: float) -> float:
+        """P(X < m)."""
+        i = int(np.searchsorted(self._x, m, side="left"))  # type: ignore[attr-defined]
+        return float(self._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.choice(self._x, size=n, p=self._w)  # type: ignore[attr-defined]
+
+    def center_and_span(self) -> tuple[float, float]:
+        """A location and a positive length scale where outer searches start."""
+        lo, hi = self.support
+        return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)
+
+    def bulk_interval(self) -> tuple[float, float]:
+        """An interval holding the bulk of the mass, where root searches start."""
+        return self.support
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, weights) that sums over atoms use for this law."""
+        return self._x, self._w  # type: ignore[attr-defined]
+
+
+class _Parametric:
+    """Behaviour shared by the continuous families: unbounded mass above,
+    and the midpoint-quantile discretization as their atoms."""
+
+    def second_moments_finite(self) -> bool:
+        return True
+
+    def prob_above(self, m: float) -> float:
+        return 1.0
+
+    def prob_below(self, m: float) -> float:
+        return 1.0
+
+    def bulk_interval(self) -> tuple[float, float]:
+        return quantile(self, _BULK_TAIL), quantile(self, 1.0 - _BULK_TAIL)  # type: ignore[arg-type]
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Midpoint quantile discretization, used only for custom losses;
+        closed-form losses never take this path."""
+        return _discretized_atoms(self)
+
+
+@lru_cache(maxsize=32)
+def _discretized_atoms(d: PriorDistribution) -> tuple[np.ndarray, np.ndarray]:
+    # cached per (immutable) distribution
+    u = (np.arange(_DISCRETIZE_N) + 0.5) / _DISCRETIZE_N
+    xs = np.array([quantile(d, float(ui)) for ui in u])
+    w = np.full(_DISCRETIZE_N, 1.0 / _DISCRETIZE_N)
+    return xs, w
+
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Parametric):
     mean: float
     stddev: float
 
@@ -115,18 +210,77 @@ class Normal:
         if not math.isfinite(self.mean):
             raise ValueError("mean must be finite")
 
+    def upper_partial_moment(self, m: float, power: int) -> float:
+        return self.stddev**power * _normal_plus((m - self.mean) / self.stddev, power)
+
+    def lower_partial_moment(self, m: float, power: int) -> float:
+        return self.stddev**power * _normal_plus(-((m - self.mean) / self.stddev), power)
+
+    def expected_value(self) -> float:
+        return self.mean
+
+    def ppf(self, alpha: float) -> float:
+        return self.mean + self.stddev * float(special.ndtri(alpha))
+
+    def cdf(self, m: float) -> float:
+        return float(special.ndtr((m - self.mean) / self.stddev))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.mean + self.stddev * rng.standard_normal(n)
+
+    def center_and_span(self) -> tuple[float, float]:
+        return self.mean, self.stddev
+
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Parametric):
     rate: float
 
     def __post_init__(self) -> None:
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError("rate must be a positive real")
 
+    def upper_partial_moment(self, m: float, power: int) -> float:
+        if m < 0.0:
+            mu = 1.0 / self.rate
+            if power == 1:
+                return mu - m
+            return mu * mu + (mu - m) * (mu - m)
+        e = math.exp(-self.rate * m)
+        if power == 1:
+            return e / self.rate
+        return 2.0 * e / (self.rate * self.rate)
+
+    def lower_partial_moment(self, m: float, power: int) -> float:
+        if m <= 0.0:
+            return 0.0
+        mu = 1.0 / self.rate
+        e = math.exp(-self.rate * m)
+        if power == 1:
+            return max(m - mu + e * mu, 0.0)
+        return max(mu * mu + (mu - m) * (mu - m) - 2.0 * e * mu * mu, 0.0)
+
+    def expected_value(self) -> float:
+        return 1.0 / self.rate
+
+    def ppf(self, alpha: float) -> float:
+        return -math.log1p(-alpha) / self.rate
+
+    def cdf(self, m: float) -> float:
+        return 0.0 if m < 0.0 else -math.expm1(-self.rate * m)
+
+    def prob_below(self, m: float) -> float:
+        return 0.0 if m <= 0.0 else 1.0
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size=n)
+
+    def center_and_span(self) -> tuple[float, float]:
+        return 1.0 / self.rate, 1.0 / self.rate
+
 
 @dataclass(frozen=True)
-class StudentT:
+class StudentT(_Parametric):
     dof: float
     location: float = 0.0
     scale: float = 1.0
@@ -139,6 +293,37 @@ class StudentT:
         if not math.isfinite(self.location):
             raise ValueError("location must be finite")
 
+    def upper_partial_moment(self, m: float, power: int) -> float:
+        z = (m - self.location) / self.scale
+        return self.scale**power * _t_plus(z, self.dof, power)
+
+    def lower_partial_moment(self, m: float, power: int) -> float:
+        # symmetry of the standardized t: ((Z-z)^-)^k has the law of ((Z+z)^+)^k
+        z = (m - self.location) / self.scale
+        return self.scale**power * _t_plus(-z, self.dof, power)
+
+    def expected_value(self) -> float:
+        if self.dof <= 1.0:
+            raise MomentUndefined("Student-t mean requires dof > 1")
+        return self.location
+
+    def second_moments_finite(self) -> bool:
+        return self.dof > 2.0
+
+    def ppf(self, alpha: float) -> float:
+        return self.location + self.scale * float(special.stdtrit(self.dof, alpha))
+
+    def cdf(self, m: float) -> float:
+        return float(special.stdtr(self.dof, (m - self.location) / self.scale))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.location + self.scale * rng.standard_t(self.dof, size=n)
+
+    def center_and_span(self) -> tuple[float, float]:
+        if self.dof > 2.0:
+            return self.location, self.scale * math.sqrt(self.dof / (self.dof - 2.0))
+        return self.location, self.scale
+
 
 PriorDistribution = Union[Empirical, Normal, Exponential, StudentT]
 
@@ -148,31 +333,6 @@ def _check_power(power: int) -> None:
         raise ValueError(f"power must be 1 or 2, got {power!r}")
 
 
-def _empirical_plus(d: Empirical, m: float, power: int) -> float:
-    x = d._x  # type: ignore[attr-defined]
-    cw, cwx, cwx2 = d._cw, d._cwx, d._cwx2  # type: ignore[attr-defined]
-    i = int(np.searchsorted(x, m, side="right"))
-    w_tail = 1.0 - (float(cw[i - 1]) if i > 0 else 0.0)
-    wx_tail = float(cwx[-1]) - (float(cwx[i - 1]) if i > 0 else 0.0)
-    if power == 1:
-        return max(wx_tail - m * w_tail, 0.0)
-    wx2_tail = float(cwx2[-1]) - (float(cwx2[i - 1]) if i > 0 else 0.0)
-    return max(wx2_tail - 2.0 * m * wx_tail + m * m * w_tail, 0.0)
-
-
-def _empirical_minus(d: Empirical, m: float, power: int) -> float:
-    x = d._x  # type: ignore[attr-defined]
-    cw, cwx, cwx2 = d._cw, d._cwx, d._cwx2  # type: ignore[attr-defined]
-    i = int(np.searchsorted(x, m, side="right"))
-    if i == 0:
-        return 0.0
-    w_head, wx_head = float(cw[i - 1]), float(cwx[i - 1])
-    if power == 1:
-        return max(m * w_head - wx_head, 0.0)
-    wx2_head = float(cwx2[i - 1])
-    return max(m * m * w_head - 2.0 * m * wx_head + wx2_head, 0.0)
-
-
 def _normal_plus(z: float, power: int) -> float:
     """Standardized E[((Z-z)^+)^power] for Z ~ N(0,1)."""
     sf = float(special.ndtr(-z))
@@ -180,32 +340,6 @@ def _normal_plus(z: float, power: int) -> float:
     if power == 1:
         return max(pdf - z * sf, 0.0)
     return max((1.0 + z * z) * sf - z * pdf, 0.0)
-
-
-def _normal_minus(z: float, power: int) -> float:
-    return _normal_plus(-z, power)
-
-
-def _exponential_plus(rate: float, m: float, power: int) -> float:
-    if m < 0.0:
-        mu = 1.0 / rate
-        if power == 1:
-            return mu - m
-        return mu * mu + (mu - m) * (mu - m)
-    e = math.exp(-rate * m)
-    if power == 1:
-        return e / rate
-    return 2.0 * e / (rate * rate)
-
-
-def _exponential_minus(rate: float, m: float, power: int) -> float:
-    if m <= 0.0:
-        return 0.0
-    mu = 1.0 / rate
-    e = math.exp(-rate * m)
-    if power == 1:
-        return max(m - mu + e * mu, 0.0)
-    return max(mu * mu + (mu - m) * (mu - m) - 2.0 * e * mu * mu, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -251,124 +385,36 @@ def _t_plus(z: float, dof: float, power: int) -> float:
 def partial_moment_plus(d: PriorDistribution, m: float, power: int) -> float:
     """E[((X - m)^+)^power] for power in {1, 2}; exact or to 1e-10 absolute."""
     _check_power(power)
-    m = float(m)
-    if isinstance(d, Empirical):
-        return _empirical_plus(d, m, power)
-    if isinstance(d, Normal):
-        z = (m - d.mean) / d.stddev
-        return d.stddev**power * _normal_plus(z, power)
-    if isinstance(d, Exponential):
-        return _exponential_plus(d.rate, m, power)
-    if isinstance(d, StudentT):
-        z = (m - d.location) / d.scale
-        return d.scale**power * _t_plus(z, d.dof, power)
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
+    return d.upper_partial_moment(float(m), power)
 
 
 def partial_moment_minus(d: PriorDistribution, m: float, power: int) -> float:
     """E[((X - m)^-)^power] with (X - m)^- = max(m - X, 0)."""
     _check_power(power)
-    m = float(m)
-    if isinstance(d, Empirical):
-        return _empirical_minus(d, m, power)
-    if isinstance(d, Normal):
-        z = (m - d.mean) / d.stddev
-        return d.stddev**power * _normal_minus(z, power)
-    if isinstance(d, Exponential):
-        return _exponential_minus(d.rate, m, power)
-    if isinstance(d, StudentT):
-        # symmetry of the standardized t: ((Z-z)^-)^k has the law of ((Z+z)^+)^k
-        z = (m - d.location) / d.scale
-        return d.scale**power * _t_plus(-z, d.dof, power)
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
+    return d.lower_partial_moment(float(m), power)
 
 
 def mean(d: PriorDistribution) -> float:
-    if isinstance(d, Empirical):
-        return float(np.dot(d._x, d._w))  # type: ignore[attr-defined]
-    if isinstance(d, Normal):
-        return d.mean
-    if isinstance(d, Exponential):
-        return 1.0 / d.rate
-    if isinstance(d, StudentT):
-        if d.dof <= 1.0:
-            raise MomentUndefined("Student-t mean requires dof > 1")
-        return d.location
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
-
-
-def second_moments_exist(d: PriorDistribution) -> bool:
-    return not (isinstance(d, StudentT) and d.dof <= 2.0)
+    return d.expected_value()
 
 
 def quantile(d: PriorDistribution, alpha: float) -> float:
     """Lower alpha-quantile: the smallest m with P(X <= m) >= alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if isinstance(d, Empirical):
-        i = int(np.searchsorted(d._cw, alpha, side="left"))  # type: ignore[attr-defined]
-        return float(d._x[min(i, len(d._x) - 1)])  # type: ignore[attr-defined]
-    if isinstance(d, Normal):
-        return d.mean + d.stddev * float(stats.norm.ppf(alpha))
-    if isinstance(d, Exponential):
-        return -math.log1p(-alpha) / d.rate
-    if isinstance(d, StudentT):
-        return d.location + d.scale * float(stats.t.ppf(alpha, d.dof))
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
+    return d.ppf(alpha)
 
 
 def cdf(d: PriorDistribution, m: float) -> float:
     """P(X <= m)."""
-    if isinstance(d, Empirical):
-        i = int(np.searchsorted(d._x, m, side="right"))  # type: ignore[attr-defined]
-        return float(d._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
-    if isinstance(d, Normal):
-        return float(stats.norm.cdf((m - d.mean) / d.stddev))
-    if isinstance(d, Exponential):
-        return 0.0 if m < 0.0 else -math.expm1(-d.rate * m)
-    if isinstance(d, StudentT):
-        return float(stats.t.cdf((m - d.location) / d.scale, d.dof))
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
-
-
-def prob_strictly_above(d: PriorDistribution, m: float) -> float:
-    """P(X > m); zero only when m sits at or above the essential supremum."""
-    if isinstance(d, Empirical):
-        return max(1.0 - cdf(d, m), 0.0)
-    if isinstance(d, (Normal, StudentT)):
-        return 1.0  # unbounded support either side
-    if isinstance(d, Exponential):
-        return 1.0
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
-
-
-def prob_strictly_below(d: PriorDistribution, m: float) -> float:
-    """P(X < m)."""
-    if isinstance(d, Empirical):
-        x = d._x  # type: ignore[attr-defined]
-        i = int(np.searchsorted(x, m, side="left"))
-        return float(d._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
-    if isinstance(d, (Normal, StudentT)):
-        return 1.0
-    if isinstance(d, Exponential):
-        return 0.0 if m <= 0.0 else 1.0
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
+    return d.cdf(m)
 
 
 def sample(d: PriorDistribution, n: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-random draws; the same seed gives the same array."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    rng = np.random.default_rng(seed)
-    if isinstance(d, Empirical):
-        return rng.choice(d._x, size=n, p=d._w)  # type: ignore[attr-defined]
-    if isinstance(d, Normal):
-        return d.mean + d.stddev * rng.standard_normal(n)
-    if isinstance(d, Exponential):
-        return rng.exponential(1.0 / d.rate, size=n)
-    if isinstance(d, StudentT):
-        return d.location + d.scale * rng.standard_t(d.dof, size=n)
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
+    return d.draw(n, np.random.default_rng(seed))
 
 
 def empirical_from_csv(path: str) -> Empirical:

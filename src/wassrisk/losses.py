@@ -139,6 +139,25 @@ def quad_coefficients(loss: LossSpec) -> Optional[tuple[float, float]]:
     return None
 
 
+def quad_transform_coefficients(a: float, b: float, lam: float) -> Optional[tuple[float, float]]:
+    """(A, B) with transform A*(x^+)^2 + B*(x^-)^2 of h(x) = a*(x^+)^2 +
+    b*(x^-)^2 under the cost |x - y|^2 at level lam.
+
+    Above max(a, b), A = a*lam/(lam - a) and B = b*lam/(lam - b).  At
+    lam = max(a, b) with a != b, the side of the larger coefficient is +inf
+    and the other has coefficient a*b/|a - b|.  None where the transform is
+    +inf at every x: below max(a, b), or at it when a == b.
+    """
+    thr = max(a, b)
+    if lam < thr or (lam == thr and a == b):
+        return None
+    if lam == thr:
+        if a > b:
+            return INF, a * b / (a - b)
+        return a * b / (b - a), INF
+    return a * lam / (lam - a), b * lam / (lam - b)
+
+
 def closed_form_kind(loss: LossSpec, cost: CostExponent) -> Optional[str]:
     if cost.p == 1.0 and pinball_coefficients(loss) is not None:
         return "pinball"
@@ -415,27 +434,15 @@ def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float)
             return float(loss_value(loss, x))
         return INF
     if kind == "quad":
-        a, b = quad_coefficients(loss)  # type: ignore[misc]
-        thr = max(a, b)
-        if lam < thr:
+        coef = quad_transform_coefficients(*quad_coefficients(loss), lam)  # type: ignore[misc]
+        if coef is None:
             return INF
-        if lam == thr:
-            if a == b:
-                return INF
-            if a > b:  # finite only on the left half-line
-                if x > 0.0:
-                    return INF
-                coef = a * b / (a - b)
-                return coef * x * x
-            if x < 0.0:
-                return INF
-            coef = a * b / (b - a)
-            return coef * x * x
-        big_a = a * lam / (lam - a)
-        big_b = b * lam / (lam - b)
-        xp = max(x, 0.0)
-        xm = max(-x, 0.0)
-        return big_a * xp * xp + big_b * xm * xm
+        big_a, big_b = coef
+        if x > 0.0:
+            return big_a * x * x
+        if x < 0.0:
+            return big_b * x * x
+        return x * x  # 0 (NaN stays NaN)
     c_eff = _growth_certificate(loss, cost)
     if lam <= c_eff:
         return INF

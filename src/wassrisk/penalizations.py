@@ -6,7 +6,12 @@ lower semicontinuous with phi(0) = 0.  Its conjugate
     phi*(y) = sup_{x >= 0} (x*y - phi(x))
 
 is computed in closed form per family; exactness matters because the dual
-minimizer often sits on the conjugate's domain boundary.
+minimizer often sits on the conjugate's domain boundary.  Each family class
+carries its value phi(x), its conjugate, `conjugate_domain_end()` (the
+supremum of the set where phi* is finite) and `conjugate_vanishes` (phi* is
+zero on that whole set, so the dual infimum sits at its end without a
+search); the module functions `evaluate` and `conjugate` validate their
+argument and dispatch to the class.
 """
 
 from __future__ import annotations
@@ -29,6 +34,17 @@ class LinearPenalty:
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("linear penalty slope delta must be a positive real")
 
+    def value(self, x: float) -> float:
+        return self.delta * x
+
+    def conjugate(self, lam: float) -> float:
+        return 0.0 if lam <= self.delta else INF
+
+    def conjugate_domain_end(self) -> float:
+        return self.delta
+
+    conjugate_vanishes = True
+
 
 @dataclass(frozen=True)
 class BallPenalty:
@@ -42,6 +58,19 @@ class BallPenalty:
     def __post_init__(self) -> None:
         if not (self.delta >= 0.0 and math.isfinite(self.delta)):
             raise ValueError("ball penalty radius delta must be a nonnegative real")
+
+    def value(self, x: float) -> float:
+        return 0.0 if x <= self.delta else INF
+
+    def conjugate(self, lam: float) -> float:
+        return self.delta * lam
+
+    def conjugate_domain_end(self) -> float:
+        return INF
+
+    @property
+    def conjugate_vanishes(self) -> bool:
+        return self.delta == 0.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +109,27 @@ class PiecewiseLinearPenalty:
             prev_x, prev_s = x, s
         return out
 
+    def value(self, x: float) -> float:
+        val = 0.0
+        for (kx, kv), (_, slope) in zip(self.knot_values(), self.breakpoints):
+            if x >= kx:
+                val = kv + slope * (x - kx)
+            else:
+                break
+        return val
+
+    def conjugate(self, lam: float) -> float:
+        if lam > self.breakpoints[-1][1]:
+            return INF
+        return max(lam * kx - kv for kx, kv in self.knot_values())
+
+    def conjugate_domain_end(self) -> float:
+        return self.breakpoints[-1][1]
+
+    # a single knot makes phi linear, but that case keeps the lambda search;
+    # LinearPenalty is its exact path
+    conjugate_vanishes = False
+
 
 Penalization = Union[LinearPenalty, BallPenalty, PiecewiseLinearPenalty]
 
@@ -88,46 +138,14 @@ def evaluate(phi: Penalization, x: float) -> float:
     """phi(x) for x >= 0."""
     if x < 0.0:
         raise ValueError("penalizations are defined on x >= 0")
-    if isinstance(phi, LinearPenalty):
-        return phi.delta * x
-    if isinstance(phi, BallPenalty):
-        return 0.0 if x <= phi.delta else INF
-    if isinstance(phi, PiecewiseLinearPenalty):
-        knots = phi.knot_values()
-        val = 0.0
-        for (kx, kv), (_, slope) in zip(knots, phi.breakpoints):
-            if x >= kx:
-                val = kv + slope * (x - kx)
-            else:
-                break
-        return val
-    raise TypeError(f"unsupported penalization {type(phi).__name__}")
+    return phi.value(x)
 
 
 def conjugate(phi: Penalization, lam: float) -> float:
     """phi*(lam) = sup_{x>=0} (x*lam - phi(x)), exact per family."""
     if lam < 0.0:
         raise ValueError("conjugate is evaluated on lambda >= 0")
-    if isinstance(phi, LinearPenalty):
-        return 0.0 if lam <= phi.delta else INF
-    if isinstance(phi, BallPenalty):
-        return phi.delta * lam
-    if isinstance(phi, PiecewiseLinearPenalty):
-        if lam > phi.breakpoints[-1][1]:
-            return INF
-        return max(lam * kx - kv for kx, kv in phi.knot_values())
-    raise TypeError(f"unsupported penalization {type(phi).__name__}")
-
-
-def conjugate_domain_sup(phi: Penalization) -> float:
-    """Supremum of the set where phi* is finite."""
-    if isinstance(phi, LinearPenalty):
-        return phi.delta
-    if isinstance(phi, BallPenalty):
-        return INF
-    if isinstance(phi, PiecewiseLinearPenalty):
-        return phi.breakpoints[-1][1]
-    raise TypeError(f"unsupported penalization {type(phi).__name__}")
+    return phi.conjugate(lam)
 
 
 def penalty_from_json(spec: Union[str, dict]) -> Penalization:

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .distributions import (
-    Empirical,
     PriorDistribution,
     partial_moment_minus,
     partial_moment_plus,
     quantile,
-    second_moments_exist,
 )
 from .errors import DeltaTooSmall, MomentUndefined, NoConvergence
-from .losses import CostExponent, LossSpec
+from .losses import CostExponent, LossSpec, quad_transform_coefficients
 from .penalizations import Penalization
-from .robust_core import RobustValue, SearchOptions, argmin_interval_of_functional
+from .robust_core import MAX_DOUBLINGS, MAX_ITER, RobustValue, SearchOptions, _solve_outer
 from .solvers import golden_section_min, increasing_root
 
 INF = math.inf
@@ -62,11 +60,11 @@ class ExpectileLevel:
 
     @property
     def coefficient_plus(self) -> float:
-        return self.alpha * self.delta / (self.delta - self.alpha)
+        return quad_transform_coefficients(self.alpha, 1.0 - self.alpha, self.delta)[0]  # type: ignore[index]
 
     @property
     def coefficient_minus(self) -> float:
-        return (1.0 - self.alpha) * self.delta / (self.delta - (1.0 - self.alpha))
+        return quad_transform_coefficients(self.alpha, 1.0 - self.alpha, self.delta)[1]  # type: ignore[index]
 
 
 def adjusted_level(alpha: float, lam: float) -> float:
@@ -81,7 +79,7 @@ def var(d: PriorDistribution, alpha: float) -> float:
 
 
 def _require_second_moments(d: PriorDistribution) -> None:
-    if not second_moments_exist(d):
+    if not d.second_moments_finite():
         raise MomentUndefined("expectile computations need finite second moments")
 
 
@@ -93,12 +91,9 @@ def _asymmetric_root_stats(d: PriorDistribution, a: float, b: float) -> tuple[fl
         count[0] += 1
         return b * partial_moment_minus(d, m, 1) - a * partial_moment_plus(d, m, 1)
 
-    if isinstance(d, Empirical):
-        lo, hi = d.support
-        if hi == lo:
-            return lo, 0
-    else:
-        lo, hi = quantile(d, 1e-4), quantile(d, 1.0 - 1e-4)
+    lo, hi = d.bulk_interval()
+    if hi == lo:
+        return lo, 0
     return increasing_root(foc, lo, hi), count[0]
 
 
@@ -139,8 +134,7 @@ def _ball_stats(
 
     def g_value(lam: float) -> float:
         m = inner_m(lam)
-        big_a = alpha * lam / (lam - alpha)
-        big_b = (1.0 - alpha) * lam / (lam - (1.0 - alpha))
+        big_a, big_b = quad_transform_coefficients(alpha, 1.0 - alpha, lam)  # type: ignore[misc]
         return (
             big_a * partial_moment_plus(d, m, 2)
             + big_b * partial_moment_minus(d, m, 2)
@@ -157,14 +151,14 @@ def _ball_stats(
         )
 
     hi = lam_lo + 1.0
-    for _ in range(opt.max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if g_slope(hi) > 0.0:
             break
         hi *= 2.0
     else:
         raise NoConvergence("no positive-slope upper bracket for the ball dual search")
     lam_star, _, hit_cap = golden_section_min(
-        g_value, lam_lo, hi, tol=opt.lambda_tol, max_iter=opt.max_iter
+        g_value, lam_lo, hi, tol=opt.lambda_tol, max_iter=MAX_ITER
     )
     if hit_cap:
         raise NoConvergence("ball dual search exceeded the iteration budget")
@@ -202,8 +196,7 @@ def robust_generalized_quantile(
     to a silently chosen point.  Raises Infeasible when the functional is
     +inf everywhere.
     """
-    rv = argmin_interval_of_functional(d, loss, cost, phi, options)
-    return rv.argmin_m
+    return robust_generalized_quantile_detail(d, loss, cost, phi, options).argmin_m
 
 
 def robust_generalized_quantile_detail(
@@ -213,5 +206,6 @@ def robust_generalized_quantile_detail(
     phi: Penalization,
     options: Optional[SearchOptions] = None,
 ) -> RobustValue:
-    """Full solver result behind robust_generalized_quantile."""
-    return argmin_interval_of_functional(d, loss, cost, phi, options)
+    """Full solver result behind robust_generalized_quantile: the minimization
+    of m -> E_phi(h, X, m) itself, with no additive m term."""
+    return _solve_outer(d, loss, cost, phi, options, add_m=False)

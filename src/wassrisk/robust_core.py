@@ -12,10 +12,11 @@ Analytic shortcuts cover the common penalty/loss pairs:
 
 * pinball-shaped losses with p = 1: the transform equals the loss itself on
   its finite range, so E_phi = E[h(X-m)] + phi*(max(a, b)) for every phi;
-* linear phi: the conjugate is an indicator, so the infimum sits at the
-  slope delta and no search is needed;
-* ball phi with radius 0: only the baseline law is admissible and the
-  functional collapses to the classical expectation (the lam -> inf limit).
+* phi* zero on its whole domain (linear phi, a ball of radius 0): the
+  transform expectation is nonincreasing in lam, so the infimum sits at the
+  end of that domain, the slope delta of a linear phi, or the lam -> inf
+  limit of a zero radius, where only the baseline law is admissible and the
+  functional collapses to the classical expectation.
 
 Everything else runs a golden-section search over the feasible lambda range.
 """
@@ -24,22 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .distributions import (
     Empirical,
-    Exponential,
-    Normal,
     PriorDistribution,
-    StudentT,
     partial_moment_minus,
     partial_moment_plus,
-    prob_strictly_above,
-    prob_strictly_below,
-    quantile,
 )
 from .errors import Infeasible, NoConvergence
 from .losses import (
@@ -51,33 +45,29 @@ from .losses import (
     loss_value,
     pinball_coefficients,
     quad_coefficients,
+    quad_transform_coefficients,
 )
-from .penalizations import (
-    BallPenalty,
-    LinearPenalty,
-    Penalization,
-    conjugate,
-    conjugate_domain_sup,
-)
+from .penalizations import Penalization, conjugate
 from .solvers import expand_bracket, flat_minimum_edges, golden_section_min
 
 INF = math.inf
 
-_DISCRETIZE_N = 2001
+# budgets and tolerances of the nested searches that no caller tunes
+MAX_ITER = 200
+MAX_DOUBLINGS = 60
+FLAT_VALUE_TOL = 1e-10
+INTERVAL_RESOLUTION = 1e-6
+FOC_TOL = 1e-5
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Tolerances and budgets for the nested minimizations."""
+    """Tolerances of the nested minimizations, and whether the outer search
+    over m stays on the support of an empirical prior."""
 
     m_tol: float = 1e-9
     lambda_tol: float = 1e-9
-    max_iter: int = 200
-    max_doublings: int = 60
     restrict_to_support: bool = False
-    flat_value_tol: float = 1e-10
-    interval_resolution: float = 1e-6
-    foc_tol: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -98,17 +88,6 @@ class RobustValue:
     boundary_lambda: bool = False
 
 
-@lru_cache(maxsize=32)
-def _discretized_atoms(d: PriorDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint quantile discretization used only for custom losses on
-    parametric priors; closed-form losses never take this path.  Cached per
-    (immutable) distribution."""
-    u = (np.arange(_DISCRETIZE_N) + 0.5) / _DISCRETIZE_N
-    xs = np.array([quantile(d, float(ui)) for ui in u])
-    w = np.full(_DISCRETIZE_N, 1.0 / _DISCRETIZE_N)
-    return xs, w
-
-
 def expected_loss(d: PriorDistribution, loss: LossSpec, m: float) -> float:
     """E[l(X - m)] via partial moments when the loss is pinball- or
     quadratic-shaped, atom sums otherwise."""
@@ -118,10 +97,7 @@ def expected_loss(d: PriorDistribution, loss: LossSpec, m: float) -> float:
     quad = quad_coefficients(loss)
     if quad is not None:
         return quad[0] * partial_moment_plus(d, m, 2) + quad[1] * partial_moment_minus(d, m, 2)
-    if isinstance(d, Empirical):
-        xs, w = d.values, d.weights
-    else:
-        xs, w = _discretized_atoms(d)
+    xs, w = d.atoms()
     vals = np.asarray(loss_value(loss, xs - m), dtype=float)
     if np.any(np.isinf(vals)):
         return INF
@@ -139,27 +115,21 @@ def expected_transform(
             return INF
         return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1)
     if kind == "quad":
-        a, b = quad_coefficients(loss)  # type: ignore[misc]
-        thr = max(a, b)
-        if lam < thr:
+        coef = quad_transform_coefficients(*quad_coefficients(loss), lam)  # type: ignore[misc]
+        if coef is None:
             return INF
-        if lam == thr:
-            if a == b:
+        big_a, big_b = coef
+        # an infinite side leaves a finite value only when it holds no mass
+        if math.isinf(big_a):
+            if d.prob_above(m) > 0.0:
                 return INF
-            if a > b:
-                if prob_strictly_above(d, m) > 0.0:
-                    return INF
-                return (a * b / (a - b)) * partial_moment_minus(d, m, 2)
-            if prob_strictly_below(d, m) > 0.0:
+            return big_b * partial_moment_minus(d, m, 2)
+        if math.isinf(big_b):
+            if d.prob_below(m) > 0.0:
                 return INF
-            return (a * b / (b - a)) * partial_moment_plus(d, m, 2)
-        big_a = a * lam / (lam - a)
-        big_b = b * lam / (lam - b)
+            return big_a * partial_moment_plus(d, m, 2)
         return big_a * partial_moment_plus(d, m, 2) + big_b * partial_moment_minus(d, m, 2)
-    if isinstance(d, Empirical):
-        xs, w = d.values, d.weights
-    else:
-        xs, w = _discretized_atoms(d)
+    xs, w = d.atoms()
     t = lambda_c_transform_many(loss, cost, lam, xs - m)
     if np.any(np.isinf(t)):
         return INF
@@ -189,23 +159,24 @@ def _functional_detail(
             )
         return expected_transform(d, loss, cost, thr, m) + c, thr, True
 
-    if isinstance(phi, BallPenalty) and phi.delta == 0.0:
-        # radius zero keeps only the baseline law; the dual objective
-        # decreases to the classical expectation as lam -> inf
-        return expected_loss(d, loss, m), INF, True
-
-    if isinstance(phi, LinearPenalty):
-        if phi.delta <= thr:
+    if phi.conjugate_vanishes:
+        # phi* is zero on its whole domain and the transform expectation is
+        # nonincreasing in lambda: the infimum sits at the end of the domain
+        lam_end = phi.conjugate_domain_end()
+        if math.isinf(lam_end):
+            # a ball of radius zero keeps only the baseline law; the dual
+            # objective decreases to the classical expectation as lam -> inf
+            return expected_loss(d, loss, m), INF, True
+        if lam_end <= thr:
+            # a finite end here is the slope of a linear penalty
             raise Infeasible(
-                f"linear penalty slope {phi.delta!r} does not exceed the "
+                f"linear penalty slope {lam_end!r} does not exceed the "
                 f"finiteness threshold {thr!r}"
             )
-        # conjugate is 0 up to delta and the transform expectation is
-        # nonincreasing in lambda: the infimum is attained at lambda = delta
-        return expected_transform(d, loss, cost, phi.delta, m), phi.delta, True
+        return expected_transform(d, loss, cost, lam_end, m), lam_end, True
 
     lam_lo = thr + 1e-8 * max(1.0, thr)
-    lam_cap = conjugate_domain_sup(phi)
+    lam_cap = phi.conjugate_domain_end()
     if lam_cap <= lam_lo:
         raise Infeasible(
             f"conjugate domain ends at {lam_cap!r}, at or below the finiteness "
@@ -219,7 +190,7 @@ def _functional_detail(
         hi = lam_lo + 1.0
         f_hi = objective(hi)
         bracketed = False
-        for _ in range(opt.max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             nxt = hi * 2.0
             f_nxt = objective(nxt)
             if f_nxt >= f_hi:
@@ -233,7 +204,7 @@ def _functional_detail(
         hi = lam_cap
 
     lam_star, value, hit_cap = golden_section_min(
-        objective, lam_lo, hi, tol=opt.lambda_tol, max_iter=opt.max_iter
+        objective, lam_lo, hi, tol=opt.lambda_tol, max_iter=MAX_ITER
     )
     if math.isinf(value):
         raise Infeasible("dual objective is +inf on the whole feasible range")
@@ -262,85 +233,69 @@ def robust_functional(
     return value
 
 
-def _center_and_span(d: PriorDistribution) -> tuple[float, float]:
-    if isinstance(d, Empirical):
-        lo, hi = d.support
-        return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)
-    if isinstance(d, Normal):
-        return d.mean, d.stddev
-    if isinstance(d, Exponential):
-        return 1.0 / d.rate, 1.0 / d.rate
-    if isinstance(d, StudentT):
-        if d.dof > 2.0:
-            return d.location, d.scale * math.sqrt(d.dof / (d.dof - 2.0))
-        return d.location, d.scale
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
-
-
-def _minimize_in_m(
-    f: Callable[[float], float],
+def _solve_outer(
     d: PriorDistribution,
-    opt: SearchOptions,
-) -> tuple[float, tuple[float, float], float, bool]:
-    """Shared outer minimization over m: bracket, golden section, flat-bottom
-    edge detection and a subgradient convergence certificate.
+    loss: LossSpec,
+    cost: Optional[CostExponent],
+    phi: Optional[Penalization],
+    options: Optional[SearchOptions],
+    add_m: bool,
+) -> RobustValue:
+    """The one outer minimization over m, of m + E_phi(l, X, m) (add_m) or of
+    E_phi(l, X, m) alone; phi None drops the dual layer, leaving E[l(X - m)].
 
-    Returns (min value, (m1, m2), m_star, converged).
+    Brackets by doubling, runs golden section, locates the edges of a flat
+    bottom and certifies convergence by one-sided slopes outside them.  Every
+    (value, lambda, boundary) is memoised per m, so the dual solution at the
+    minimizer is read back rather than solved again.
     """
+    opt = options or SearchOptions()
+    seen: dict[float, tuple[float, float, bool]] = {}
+
+    def f(m: float) -> float:
+        if m not in seen:
+            if phi is None:
+                seen[m] = (expected_loss(d, loss, m), math.nan, False)
+            else:
+                seen[m] = _functional_detail(d, loss, cost, phi, m, opt)  # type: ignore[arg-type]
+        return m + seen[m][0] if add_m else seen[m][0]
+
+    center, span = d.center_and_span()
+    if phi is not None:
+        f(center)  # raise Infeasible before any bracketing
     if opt.restrict_to_support and isinstance(d, Empirical):
         lo, hi = d.support
-        if hi == lo:
-            v = f(lo)
-            return v, (lo, hi), lo, True
         flat_left = flat_right = False
     else:
-        center, span = _center_and_span(d)
         lo, hi, flat_left, flat_right = expand_bracket(
-            f,
-            center - span,
-            center + span,
-            max_doublings=opt.max_doublings,
-            flat_tol=opt.flat_value_tol,
+            f, center - span, center + span, max_doublings=MAX_DOUBLINGS, flat_tol=FLAT_VALUE_TOL
         )
-    m_star, f_min, hit_cap = golden_section_min(
-        f, lo, hi, tol=opt.m_tol, max_iter=opt.max_iter
+    if hi == lo:
+        f_min, m1, m2, m_star, converged = f(lo), lo, hi, lo, True
+    else:
+        m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.m_tol, max_iter=MAX_ITER)
+        m1, m2 = flat_minimum_edges(
+            f, m_star, f_min, lo, hi, value_tol=FLAT_VALUE_TOL, resolution=INTERVAL_RESOLUTION
+        )
+        if flat_left and m1 <= lo + INTERVAL_RESOLUTION:
+            m1 = lo
+        if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
+            m2 = hi
+        # one-sided slopes just outside the reported interval: the objective
+        # must not fall to the left of m1 nor to the right of m2
+        h = max(INTERVAL_RESOLUTION, 10.0 * opt.m_tol)
+        left_ok = m1 - h <= lo or (f(m1) - f(m1 - h)) / h <= FOC_TOL
+        right_ok = m2 + h >= hi or (f(m2 + h) - f(m2)) / h >= -FOC_TOL
+        converged = (not hit_cap) and left_ok and right_ok
+    _, lam_star, boundary = seen[m_star]
+    return RobustValue(
+        value=f_min,
+        argmin_m=(m1, m2),
+        argmin_lambda=lam_star,
+        evaluations=len(seen),
+        converged=converged,
+        boundary_lambda=boundary,
     )
-    m1, m2 = flat_minimum_edges(
-        f,
-        m_star,
-        f_min,
-        lo,
-        hi,
-        value_tol=opt.flat_value_tol,
-        resolution=opt.interval_resolution,
-    )
-    if flat_left and m1 <= lo + opt.interval_resolution:
-        m1 = lo
-    if flat_right and m2 >= hi - opt.interval_resolution:
-        m2 = hi
-
-    # one-sided slopes just outside the reported interval: the objective must
-    # not fall to the left of m1 nor to the right of m2
-    h = max(opt.interval_resolution, 10.0 * opt.m_tol)
-    left_ok = m1 - h <= lo or (f(m1) - f(m1 - h)) / h <= opt.foc_tol
-    right_ok = m2 + h >= hi or (f(m2 + h) - f(m2)) / h >= -opt.foc_tol
-    converged = (not hit_cap) and left_ok and right_ok
-    return f_min, (m1, m2), m_star, converged
-
-
-class _CountingObjective:
-    def __init__(self, fn: Callable[[float], float]):
-        self._fn = fn
-        self.count = 0
-        self._cache: dict[float, float] = {}
-
-    def __call__(self, m: float) -> float:
-        if m in self._cache:
-            return self._cache[m]
-        self.count += 1
-        v = self._fn(m)
-        self._cache[m] = v
-        return v
 
 
 def robust_oce(
@@ -351,24 +306,7 @@ def robust_oce(
     options: Optional[SearchOptions] = None,
 ) -> RobustValue:
     """Robust optimized certainty equivalent: inf_m { m + E_phi(l, X, m) }."""
-    opt = options or SearchOptions()
-
-    def bare(m: float) -> float:
-        value, _, _ = _functional_detail(d, loss, cost, phi, m, opt)
-        return m + value
-
-    counting = _CountingObjective(bare)
-    counting(_center_and_span(d)[0])  # raise Infeasible before any bracketing
-    f_min, (m1, m2), m_star, converged = _minimize_in_m(counting, d, opt)
-    _, lam_star, boundary = _functional_detail(d, loss, cost, phi, m_star, opt)
-    return RobustValue(
-        value=f_min,
-        argmin_m=(m1, m2),
-        argmin_lambda=lam_star,
-        evaluations=counting.count,
-        converged=converged,
-        boundary_lambda=boundary,
-    )
+    return _solve_outer(d, loss, cost, phi, options, add_m=True)
 
 
 def classical_oce(
@@ -378,48 +316,4 @@ def classical_oce(
 ) -> RobustValue:
     """Classical certainty equivalent inf_m { m + E[l(X - m)] }; same result
     shape as the robust solver with no dual layer (argmin_lambda is NaN)."""
-    opt = options or SearchOptions()
-
-    def bare(m: float) -> float:
-        return m + expected_loss(d, loss, m)
-
-    counting = _CountingObjective(bare)
-    f_min, (m1, m2), m_star, converged = _minimize_in_m(counting, d, opt)
-    return RobustValue(
-        value=f_min,
-        argmin_m=(m1, m2),
-        argmin_lambda=math.nan,
-        evaluations=counting.count,
-        converged=converged,
-        boundary_lambda=False,
-    )
-
-
-def argmin_interval_of_functional(
-    d: PriorDistribution,
-    loss: LossSpec,
-    cost: CostExponent,
-    phi: Penalization,
-    options: Optional[SearchOptions] = None,
-) -> RobustValue:
-    """Minimize m -> E_phi(l, X, m) itself (no additive m term), reporting the
-    full argmin interval; this is the engine behind robust generalized
-    quantiles."""
-    opt = options or SearchOptions()
-
-    def bare(m: float) -> float:
-        value, _, _ = _functional_detail(d, loss, cost, phi, m, opt)
-        return value
-
-    counting = _CountingObjective(bare)
-    counting(_center_and_span(d)[0])
-    f_min, (m1, m2), m_star, converged = _minimize_in_m(counting, d, opt)
-    _, lam_star, boundary = _functional_detail(d, loss, cost, phi, m_star, opt)
-    return RobustValue(
-        value=f_min,
-        argmin_m=(m1, m2),
-        argmin_lambda=lam_star,
-        evaluations=counting.count,
-        converged=converged,
-        boundary_lambda=boundary,
-    )
+    return _solve_outer(d, loss, None, None, options, add_m=True)

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import wassrisk
 from wassrisk import Exponential, expectile
 from wassrisk.cli import main, parse_grid, parse_prior_spec
 
@@ -8,6 +13,21 @@ def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats is slow to import; the package needs only scipy.special
+    # and scipy.optimize
+    src = os.path.dirname(os.path.dirname(wassrisk.__file__))
+    probe = "import sys, wassrisk, wassrisk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestPriorSpecs:

@@ -79,6 +79,33 @@ class TestPartialMomentExamples:
             partial_moment_plus(FAIR_COIN, 0.0, 3)
 
 
+class TestScipyStatsParity:
+    # the families call scipy.special directly; the values must be exactly
+    # those of the scipy.stats distributions they replaced
+    ALPHAS = np.concatenate(
+        [[1e-12, 1e-6, 1e-4], np.linspace(0.001, 0.999, 199), [1 - 1e-4, 1 - 1e-6]]
+    )
+    MS = np.linspace(-9.0, 9.0, 181)
+
+    @pytest.mark.parametrize("mu, sd", [(0.0, 1.0), (0.3, 1.7), (-4.0, 0.2)])
+    def test_normal(self, mu, sd):
+        d = Normal(mu, sd)
+        for a in self.ALPHAS:
+            assert quantile(d, float(a)) == mu + sd * float(stats.norm.ppf(a))
+        for m in self.MS:
+            assert cdf(d, float(m)) == float(stats.norm.cdf((m - mu) / sd))
+
+    @pytest.mark.parametrize(
+        "dof, loc, sc", [(5.0, 0.0, 1.0), (2.5, 1.3, 0.7), (1.5, -2.0, 3.0), (30.0, 0.2, 1.1)]
+    )
+    def test_student_t(self, dof, loc, sc):
+        d = StudentT(dof, loc, sc)
+        for a in self.ALPHAS:
+            assert quantile(d, float(a)) == loc + sc * float(stats.t.ppf(a, dof))
+        for m in self.MS:
+            assert cdf(d, float(m)) == float(stats.t.cdf((m - loc) / sc, dof))
+
+
 class TestStudentT:
     def test_matches_adaptive_quadrature(self):
         for dof, loc, sc in [(5.0, 0.0, 1.0), (2.5, 1.3, 0.7), (11.0, -2.0, 3.0)]:

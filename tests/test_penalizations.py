@@ -37,6 +37,23 @@ class TestConjugates:
         with pytest.raises(ValueError):
             conjugate(LinearPenalty(1.0), -0.5)
 
+    def test_vanishing_flag(self):
+        # the dual solver takes the end of the conjugate's domain without a
+        # search when the flag is set, which needs phi* = 0 on that domain;
+        # a one-knot piecewise penalty is linear but keeps the search
+        cases = [
+            (LinearPenalty(2.0), True),
+            (BallPenalty(0.0), True),
+            (BallPenalty(0.3), False),
+            (PWL, False),
+            (PiecewiseLinearPenalty(((0.0, 1.5),)), False),
+        ]
+        for phi, flag in cases:
+            assert phi.conjugate_vanishes == flag
+            if flag:
+                end = min(phi.conjugate_domain_end(), 10.0)
+                assert all(conjugate(phi, float(lam)) == 0.0 for lam in np.linspace(0.0, end, 101))
+
 
 class TestEvaluate:
     def test_linear(self):

@@ -16,6 +16,7 @@ from wassrisk import (
     LinearPenalty,
     NoConvergence,
     Normal,
+    PiecewiseLinearPenalty,
     Pinball,
     PowerLoss,
     SearchOptions,
@@ -27,6 +28,9 @@ from wassrisk import (
     robust_oce,
     wasserstein_1d,
 )
+
+from wassrisk import robust_core
+from wassrisk.robust_core import _functional_detail
 
 from conftest import coupled_arrays, emp, random_empirical
 
@@ -209,6 +213,34 @@ class TestRobustOce:
         assert rv.converged
         m_star = 0.5 * sum(rv.argmin_m)
         assert rv.value == pytest.approx(m_star + robust_functional(d, loss, P2, phi, m_star), abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "phi", [BallPenalty(0.3), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
+    )
+    def test_dual_solution_read_back_at_the_minimizer(self, rng, monkeypatch, phi):
+        # the outer search keeps (value, lambda, boundary) per m and solves
+        # the dual once per distinct m; lambda and the boundary flag at m*
+        # equal a fresh dual solve there
+        calls = []
+
+        def recording(d, loss, cost, phi, m, opt):
+            out = _functional_detail(d, loss, cost, phi, m, opt)
+            calls.append((m, out))
+            return out
+
+        monkeypatch.setattr(robust_core, "_functional_detail", recording)
+        loss = AsymQuadratic(0.7)
+        for d in (Normal(0.2, 1.3), random_empirical(rng, max_atoms=25)):
+            calls.clear()
+            rv = robust_oce(d, loss, P2, phi)
+            assert len(calls) == len({m for m, _ in calls}) == rv.evaluations
+            # the minimum value can be attained at several evaluated m
+            fresh = [
+                _functional_detail(d, loss, P2, phi, m, SearchOptions())[1:]
+                for m, (value, _, _) in calls
+                if m + value == rv.value
+            ]
+            assert (rv.argmin_lambda, rv.boundary_lambda) in fresh
 
     def test_result_invariants(self, rng):
         for _ in range(5):
