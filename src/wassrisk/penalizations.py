@@ -96,22 +96,25 @@ class PiecewiseLinearPenalty:
         if slopes[-1] == 0.0:
             raise ValueError("all-zero slopes make the penalty constant; not allowed")
         object.__setattr__(self, "breakpoints", bps)
+        # (knot, phi(knot)), kept outside the dataclass fields so equality,
+        # hashing and repr see the breakpoints only
+        knots = []
+        acc = 0.0
+        prev_x = 0.0
+        prev_s = bps[0][1]
+        for x, s in bps:
+            acc += prev_s * (x - prev_x)
+            knots.append((x, acc))
+            prev_x, prev_s = x, s
+        object.__setattr__(self, "_knots", tuple(knots))
 
     def knot_values(self) -> list[tuple[float, float]]:
         """(knot, phi(knot)) for every breakpoint."""
-        out = []
-        acc = 0.0
-        prev_x = 0.0
-        prev_s = self.breakpoints[0][1]
-        for x, s in self.breakpoints:
-            acc += prev_s * (x - prev_x)
-            out.append((x, acc))
-            prev_x, prev_s = x, s
-        return out
+        return list(self._knots)
 
     def value(self, x: float) -> float:
         val = 0.0
-        for (kx, kv), (_, slope) in zip(self.knot_values(), self.breakpoints):
+        for (kx, kv), (_, slope) in zip(self._knots, self.breakpoints):
             if x >= kx:
                 val = kv + slope * (x - kx)
             else:
@@ -121,7 +124,7 @@ class PiecewiseLinearPenalty:
     def conjugate(self, lam: float) -> float:
         if lam > self.breakpoints[-1][1]:
             return INF
-        return max(lam * kx - kv for kx, kv in self.knot_values())
+        return max(lam * kx - kv for kx, kv in self._knots)
 
     def conjugate_domain_end(self) -> float:
         return self.breakpoints[-1][1]

@@ -18,7 +18,9 @@ Analytic shortcuts cover the common penalty/loss pairs:
   limit of a zero radius, where only the baseline law is admissible and the
   functional collapses to the classical expectation.
 
-Everything else runs a golden-section search over the feasible lambda range.
+Everything else runs a golden-section search over the feasible lambda range;
+for quadratic-shaped losses with p = 2 it takes the prior's second partial
+moments at m once per search.
 """
 
 from __future__ import annotations
@@ -183,8 +185,23 @@ def _functional_detail(
             f"threshold {thr!r}"
         )
 
-    def objective(lam: float) -> float:
-        return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
+    if kind == "quad":
+        # the prior enters the quadratic transform only through its second
+        # partial moments at m, so take them once for the whole search; every
+        # lambda searched lies above max(a, b), where both transform
+        # coefficients are finite (the same sum expected_transform forms)
+        a, b = quad_coefficients(loss)  # type: ignore[misc]
+        plus = partial_moment_plus(d, m, 2)
+        minus = partial_moment_minus(d, m, 2)
+
+        def objective(lam: float) -> float:
+            big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
+            return big_a * plus + big_b * minus + conjugate(phi, lam)
+
+    else:
+
+        def objective(lam: float) -> float:
+            return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
 
     if math.isinf(lam_cap):
         hi = lam_lo + 1.0
@@ -281,11 +298,16 @@ def _solve_outer(
             m1 = lo
         if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
             m2 = hi
-        # one-sided slopes just outside the reported interval: the objective
-        # must not fall to the left of m1 nor to the right of m2
+        # one-sided steps just outside the reported interval: the objective
+        # must not fall to the left of m1 nor to the right of m2, by more than
+        # a slope of FOC_TOL or than the value tolerance that defines the
+        # interval (below it, a fall is within the objective's own accuracy)
         h = max(INTERVAL_RESOLUTION, 10.0 * opt.m_tol)
-        left_ok = m1 - h <= lo or (f(m1) - f(m1 - h)) / h <= FOC_TOL
-        right_ok = m2 + h >= hi or (f(m2 + h) - f(m2)) / h >= -FOC_TOL
+        flat = FLAT_VALUE_TOL * max(1.0, abs(f_min))
+        fall_left = f(m1) - f(m1 - h) if m1 - h > lo else -INF
+        fall_right = f(m2) - f(m2 + h) if m2 + h < hi else -INF
+        left_ok = fall_left / h <= FOC_TOL or fall_left <= flat
+        right_ok = fall_right / h <= FOC_TOL or fall_right <= flat
         converged = (not hit_cap) and left_ok and right_ok
     _, lam_star, boundary = seen[m_star]
     return RobustValue(

@@ -55,6 +55,22 @@ class TestConjugates:
                 assert all(conjugate(phi, float(lam)) == 0.0 for lam in np.linspace(0.0, end, 101))
 
 
+class TestPiecewiseKnots:
+    def test_knot_values(self):
+        assert PWL.knot_values() == [(0.0, 0.0), (1.0, 0.5), (3.0, 4.5)]
+        # callers get a fresh list each time
+        PWL.knot_values().append((9.0, 9.0))
+        assert len(PWL.knot_values()) == 3
+
+    def test_stored_knots_stay_out_of_equality_hash_and_repr(self):
+        twin = PiecewiseLinearPenalty(((0, 0.5), (1, 2), (3, 4)))
+        assert twin == PWL and hash(twin) == hash(PWL)
+        assert repr(PWL) == (
+            "PiecewiseLinearPenalty(breakpoints=((0.0, 0.5), (1.0, 2.0), (3.0, 4.0)))"
+        )
+        assert PWL != PiecewiseLinearPenalty(((0.0, 0.5), (1.0, 2.0), (3.0, 4.5)))
+
+
 class TestEvaluate:
     def test_linear(self):
         assert penalty_evaluate(LinearPenalty(2.0), 3.0) == pytest.approx(6.0)

@@ -11,6 +11,7 @@ from wassrisk import (
     CostExponent,
     CustomLoss,
     Empirical,
+    Exponential,
     GeneralizedQuantile,
     Infeasible,
     LinearPenalty,
@@ -20,9 +21,11 @@ from wassrisk import (
     Pinball,
     PowerLoss,
     SearchOptions,
+    StudentT,
     classical_oce,
     conjugate,
     expected_transform,
+    finiteness_threshold,
     penalty_evaluate,
     robust_functional,
     robust_oce,
@@ -31,6 +34,7 @@ from wassrisk import (
 
 from wassrisk import robust_core
 from wassrisk.robust_core import _functional_detail
+from wassrisk.solvers import golden_section_min
 
 from conftest import coupled_arrays, emp, random_empirical
 
@@ -154,6 +158,90 @@ class TestRobustFunctional:
         assert expected_transform(Normal(0, 1), AsymQuadratic(alpha), P2, alpha, 0.0) == math.inf
 
 
+def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
+    """The lambda search of _functional_detail with the prior evaluated
+    through expected_transform at every lambda: same bracket, same golden
+    section, same boundary rule."""
+    thr = finiteness_threshold(loss, cost)
+    lam_lo = thr + 1e-8 * max(1.0, thr)
+    lam_cap = phi.conjugate_domain_end()
+
+    def objective(lam):
+        return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
+
+    if math.isinf(lam_cap):
+        hi = lam_lo + 1.0
+        f_hi = objective(hi)
+        for _ in range(robust_core.MAX_DOUBLINGS):
+            nxt = hi * 2.0
+            f_nxt = objective(nxt)
+            if f_nxt >= f_hi:
+                hi = nxt
+                break
+            hi, f_hi = nxt, f_nxt
+    else:
+        hi = lam_cap
+    lam_star, value, _ = golden_section_min(
+        objective, lam_lo, hi, tol=opt.lambda_tol, max_iter=robust_core.MAX_ITER
+    )
+    boundary = (lam_star - lam_lo) <= 10.0 * opt.lambda_tol or (
+        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.lambda_tol
+    )
+    return value, lam_star, boundary
+
+
+SEARCHED_PENALTIES = [BallPenalty(0.4), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
+
+
+class TestQuadraticDualSearch:
+    """The quadratic lambda search takes the prior's partial moments at m once
+    and must give exactly what evaluating the prior at every lambda gives."""
+
+    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    def test_partial_moments_taken_once_per_search(self, monkeypatch, phi):
+        calls = {"plus": 0, "minus": 0, "lambda": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            robust_core, "partial_moment_plus", counting("plus", robust_core.partial_moment_plus)
+        )
+        monkeypatch.setattr(
+            robust_core, "partial_moment_minus", counting("minus", robust_core.partial_moment_minus)
+        )
+        monkeypatch.setattr(robust_core, "conjugate", counting("lambda", robust_core.conjugate))
+        d = Normal(0.3, 1.2)
+        value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, 0.1, SearchOptions())
+        assert math.isfinite(value)
+        assert calls["lambda"] > 30  # one conjugate per lambda visited
+        assert calls["plus"] == calls["minus"] == 1
+
+    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    def test_equals_the_search_through_expected_transform(self, rng, phi):
+        base = random_empirical(rng, max_atoms=30)
+        far = emp(1e6 + base.values, base.weights)
+        priors = [
+            Normal(0.3, 1.2),
+            Exponential(1.7),
+            StudentT(4.5, -0.2, 0.8),
+            random_empirical(rng, max_atoms=40),
+            far,
+        ]
+        for d in priors:
+            center, span = d.center_and_span()
+            for alpha in (0.3, 0.8):
+                loss = AsymQuadratic(alpha)
+                for m in center + span * np.array([-2.5, -0.7, 0.0, 0.4, 3.0]):
+                    m = float(m)
+                    got = _functional_detail(d, loss, P2, phi, m, SearchOptions())
+                    assert got == _reference_detail(d, loss, P2, phi, m), (d, alpha, m)
+
+
 class TestRobustOce:
     def test_constant_zero_with_shifted_plus_loss(self):
         # l(x) = 1 + x^+ does not preserve constants: the value at the zero
@@ -213,6 +301,61 @@ class TestRobustOce:
         assert rv.converged
         m_star = 0.5 * sum(rv.argmin_m)
         assert rv.value == pytest.approx(m_star + robust_functional(d, loss, P2, phi, m_star), abs=1e-7)
+
+    @staticmethod
+    def _grid_minimum(d, loss, phi, interval):
+        """min of m + E_phi(m) on a 1e-6 grid around the interval and at the
+        prior's atoms inside that window."""
+        m1, m2 = interval
+        lo, hi = m1 - 1e-4, m2 + 1e-4
+        ms = np.concatenate([np.linspace(lo, hi, int(round((hi - lo) / 1e-6)) + 1), [m1, m2]])
+        if isinstance(d, Empirical):
+            ms = np.concatenate([ms, d.values[(d.values >= lo) & (d.values <= hi)]])
+        return min(float(m) + robust_functional(d, loss, P2, phi, float(m)) for m in ms)
+
+    def test_converged_with_the_minimum_on_an_atom(self):
+        # a 105-atom prior whose piecewise objective has its minimum on the
+        # lowest atom; the located left edge lies within the edge resolution
+        # to its right, and one step of 1e-6 toward the atom lowers the
+        # objective by about 1.5e-11, above FOC_TOL * h but far inside the
+        # value tolerance that defines the interval
+        data = json.loads((Path(__file__).parent / "data" / "oce_piecewise_atom.json").read_text())
+        d = emp(data["values"], data["weights"])
+        loss = AsymQuadratic(data["alpha"])
+        phi = PiecewiseLinearPenalty(tuple(map(tuple, data["breakpoints"])))
+        rv = robust_oce(d, loss, P2, phi)
+        assert rv.converged
+        assert abs(rv.value - self._grid_minimum(d, loss, phi, rv.argmin_m)) <= 1e-9
+
+    def test_converged_where_the_partial_moments_are_noisy(self):
+        # the Student-t second partial moment carries noise of about 1e-10
+        # between points 1e-7 apart, above the 1e-11 a slope of FOC_TOL
+        # allows over one step of 1e-6
+        d = StudentT(25.414486932271444, -0.2931952221464087, 1.4647138344122048)
+        loss = AsymQuadratic(0.6395581609514351)
+        phi = PiecewiseLinearPenalty(
+            (
+                (0.0, 0.0998696308648821),
+                (0.9992097219967206, 0.6700043197670542),
+                (1.607378127883922, 2.921916007668578),
+            )
+        )
+        rv = robust_oce(d, loss, P2, phi)
+        assert rv.converged
+        assert abs(rv.value - self._grid_minimum(d, loss, phi, rv.argmin_m)) <= 1e-9
+
+    def test_not_converged_off_the_minimum(self, monkeypatch):
+        # an interval 1e-2 to the right of the true one: the objective falls
+        # to the left of its edge, so the certificate must refuse it
+        edges = robust_core.flat_minimum_edges
+
+        def shifted(*args, **kwargs):
+            m1, m2 = edges(*args, **kwargs)
+            return m1 + 1e-2, m2 + 1e-2
+
+        monkeypatch.setattr(robust_core, "flat_minimum_edges", shifted)
+        rv = robust_oce(Normal(0.2, 1.3), AsymQuadratic(0.7), P2, BallPenalty(0.3))
+        assert not rv.converged
 
     @pytest.mark.parametrize(
         "phi", [BallPenalty(0.3), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
