@@ -299,15 +299,21 @@ def _solve_outer(
         if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
             m2 = hi
         # one-sided steps just outside the reported interval: the objective
-        # must not fall to the left of m1 nor to the right of m2, by more than
-        # a slope of FOC_TOL or than the value tolerance that defines the
-        # interval (below it, a fall is within the objective's own accuracy)
+        # must not fall to the left of m1 nor to the right of m2 by more than
+        # a slope of FOC_TOL, or by more than 2 * FLAT_VALUE_TOL.  The edges
+        # lie in the FLAT_VALUE_TOL-sublevel set, so a larger fall puts a point
+        # outside the interval below f_min by more than the absolute value
+        # tolerance that defines it; a smaller one is within the objective's
+        # own accuracy (a minimum on an atom just past the located edge,
+        # partial moments with noise near 1e-10)
         h = max(INTERVAL_RESOLUTION, 10.0 * opt.m_tol)
-        flat = FLAT_VALUE_TOL * max(1.0, abs(f_min))
-        fall_left = f(m1) - f(m1 - h) if m1 - h > lo else -INF
-        fall_right = f(m2) - f(m2 + h) if m2 + h < hi else -INF
-        left_ok = fall_left / h <= FOC_TOL or fall_left <= flat
-        right_ok = fall_right / h <= FOC_TOL or fall_right <= flat
+        left_ok = right_ok = True
+        if m1 - h > lo:
+            fall = f(m1) - f(m1 - h)
+            left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
+        if m2 + h < hi:
+            fall = f(m2) - f(m2 + h)
+            right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
         converged = (not hit_cap) and left_ok and right_ok
     _, lam_star, boundary = seen[m_star]
     return RobustValue(

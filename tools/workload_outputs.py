@@ -3,22 +3,21 @@
     python tools/workload_outputs.py diff BASE CHANGE --seeds 1 2
     python tools/workload_outputs.py scan TREE --ops 15000 --seeds 1-16
 
-BASE, CHANGE and TREE are checkouts of this repository.  Each run imports the
-tree's `src/wassrisk` and its `perfbench/workloads.py` (read-only) in a fresh
-process per (tree, workload, seed), with PYTHONHASHSEED=0 and BLAS/OpenMP on
-one thread, as the benchmark runs them.
+BASE, CHANGE and TREE are checkouts of this repository; `--seeds` takes
+seeds (`1 2`) or ranges (`1-16`).  Each run imports the tree's `src/wassrisk`
+and its `perfbench/workloads.py` (read-only) in a fresh process per (tree,
+workload, seed), with PYTHONHASHSEED=0 and BLAS/OpenMP on one thread, as the
+benchmark runs them.
 
-`diff` runs the first operations of each workload in both trees and compares
-them field by field: every field of a `RobustValue` and every float by
-`repr`; for a CLI call the exit code, stdout, stderr and the bytes of the
-sweep CSV; an operation that raises by its exception type and message.  The
-default counts are 480 `solve_stream`, 240 `custom_dual` and 228
-`sweep_cli` operations (whole cycles); `--ops N` sets one count for all.
+`diff` runs the first 480 `solve_stream`, 240 `custom_dual` and 228
+`sweep_cli` operations (whole cycles) in both trees and compares them field
+by field: every field of a `RobustValue` and every float by `repr`; for a CLI
+call the exit code, stdout, stderr and the bytes of the sweep CSV; an
+operation that raises by its exception type and message.
 
-`scan` runs operations and every oracle check of one workload
-(`--workload`, default `solve_stream`), and prints every failure: an
-operation fails when it raises, returns `converged=False`, or fails its
-oracle, as in the benchmark.
+`scan` runs `solve_stream` operations and every oracle check, and prints
+every failure: an operation fails when it raises, returns `converged=False`,
+or fails its oracle, as in the benchmark (`perfbench/workload.py`).
 
 Both exit with 1 when they find a difference or a failure, 0 otherwise.
 """
@@ -35,28 +34,19 @@ import sys
 import tempfile
 import time
 
-THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
+
 DIFF_OPS = {"solve_stream": 480, "custom_dual": 240, "sweep_cli": 228}
 SHOWN_DIFFERENCES = 5  # per workload and seed
 
 
 def _seeds(tokens: list[str]) -> list[int]:
-    """'1 2', '1,2' and '1-16' forms, in order, without repeats."""
+    """Seeds from '1 2' and '1-16' forms, in order."""
     out: list[int] = []
-    for token in ",".join(tokens).split(","):
-        if not token:
-            continue
+    for token in tokens:
         lo, _, hi = token.partition("-")
-        for s in range(int(lo), int(hi or lo) + 1):
-            if s not in out:
-                out.append(s)
+        out.extend(range(int(lo), int(hi or lo) + 1))
     return out
 
 
@@ -92,20 +82,17 @@ def _child(mode: str, tree: str, workload: str, seed: int, n_ops: int, workdir: 
             result = op.call()
         except Exception as exc:  # a raising operation is an output too
             result = exc
+        raised = f"raised {type(result).__name__}: {result}" if isinstance(result, Exception) else None
         if mode == "dump":
-            if isinstance(result, Exception):
-                record = {"raised": f"{type(result).__name__}: {result}"}
-            else:
-                record = {"result": _canon(result)}
+            record = {"raised": raised} if raised else {"result": _canon(result)}
             if csv and os.path.exists(csv):
                 with open(csv, "rb") as handle:
                     record["csv"] = handle.read().decode("latin-1")
                 os.remove(csv)
             print(json.dumps({"label": op.label, **record}))
             continue
-        if isinstance(result, Exception):
-            error = f"raised {type(result).__name__}: {result}"
-        else:
+        error = raised
+        if error is None:
             try:
                 error = op.check(result)
             except Exception as exc:  # an oracle that cannot confirm the result fails it
@@ -147,8 +134,7 @@ def _differences(a, b, path: str = ""):
 def diff(args) -> int:
     total = differing = 0
     with tempfile.TemporaryDirectory(prefix="workload-outputs-") as tmp:
-        for workload in args.workload or DIFF_OPS:
-            n_ops = args.ops or DIFF_OPS[workload]
+        for workload, n_ops in DIFF_OPS.items():
             for seed in _seeds(args.seeds):
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
                 base = [json.loads(line) for line in _spawn("dump", args.base, workload, seed, n_ops, workdir)]
@@ -170,12 +156,12 @@ def scan(args) -> int:
     with tempfile.TemporaryDirectory(prefix="workload-outputs-") as tmp:
         for seed in _seeds(args.seeds):
             start = time.monotonic()
-            lines = _spawn("scan", args.tree, args.workload, seed, args.ops, os.path.join(tmp, str(seed)))
+            lines = _spawn("scan", args.tree, "solve_stream", seed, args.ops, os.path.join(tmp, str(seed)))
             for line in lines:
                 print(line)
             ops += args.ops
             failed += len(lines)
-            print(f"{args.workload} seed {seed}: {len(lines)} of {args.ops} operations failed "
+            print(f"solve_stream seed {seed}: {len(lines)} of {args.ops} operations failed "
                   f"({time.monotonic() - start:.0f} s)", flush=True)
     print(f"total: {failed} of {ops} operations failed")
     return 1 if failed else 0
@@ -192,12 +178,8 @@ def main(argv=None) -> int:
     d.add_argument("base")
     d.add_argument("change")
     d.add_argument("--seeds", nargs="+", default=["1"])
-    d.add_argument("--ops", type=int, help="operations per workload (default: whole cycles per workload)")
-    d.add_argument("--workload", action="append", choices=sorted(DIFF_OPS),
-                   help="repeatable; default: all three")
     s = sub.add_parser("scan", help="run operations with their oracle checks and list the failures")
     s.add_argument("tree")
-    s.add_argument("--workload", default="solve_stream", choices=sorted(DIFF_OPS))
     s.add_argument("--ops", type=int, default=15000)
     s.add_argument("--seeds", nargs="+", default=["1"])
     args = ap.parse_args(argv)
