@@ -4,11 +4,14 @@ The transform of a loss l under cost |x-y|^p at level lam is
 
     sup_y { l(y) - lam * |x - y|^p },
 
-an extended-real value (+inf is legal).  Closed forms are implemented for the
-two canonical asymmetric families when the cost exponent matches the loss
-power (pinball with p=1, one-sided quadratics with p=2); every other spec
-falls back to a certified numeric supremum whose truncation radius comes
-from the loss's polynomial growth bound.
+an extended-real value (+inf is legal).  The built-in families are all
+h(x) = a*(x^+)^g + b*(x^-)^k; each records its two sides at construction and
+gives its value, its growth bound and, for a cost exponent p in {1, 2} with
+g = k = p, the closed form (a, b), whose transform is A*(x^+)^p + B*(x^-)^p
+(`transform_coefficients`).  A `CustomLoss` gives its evaluator and its
+stated growth bound, checked on a grid.  Losses without a closed form for the
+cost fall back to a certified numeric supremum whose truncation radius comes
+from the growth bound.  The module functions dispatch to the loss class.
 """
 
 from __future__ import annotations
@@ -33,24 +36,59 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
+class _TwoSided:
+    """Behaviour shared by the built-in families h(x) = a*(x^+)^g + b*(x^-)^k.
+
+    Each family stores (a, g, b, k) as `_sides` in its `__post_init__`,
+    outside the dataclass fields, so equality, hashing and repr see the
+    family's own parameters only."""
+
+    def value(self, x):
+        a, g, b, k = self._sides
+        xp = np.maximum(x, 0.0)
+        xm = np.maximum(-np.asarray(x, dtype=float), 0.0)
+        if g == k == 1.0:
+            return a * xp + b * xm
+        if g == k == 2.0:
+            return a * xp * xp + b * xm * xm
+        return a * xp**g + b * xm**k
+
+    def growth_bound(self) -> tuple[float, float]:
+        """(C, g) with h(x) <= C*(1 + |x|^g)."""
+        a, g, b, k = self._sides
+        return max(a, b), max(g, k)
+
+    def check_growth_bound(self) -> None:
+        """The bound holds by construction."""
+
+    def closed_form(self, p: float) -> Optional[tuple[float, float]]:
+        """(a, b) when both sides have the cost exponent p in {1, 2}."""
+        a, g, b, k = self._sides
+        if g == k == p and p in (1.0, 2.0):
+            return a, b
+        return None
+
+
 @dataclass(frozen=True)
-class Pinball:
+class Pinball(_TwoSided):
     """h(x) = alpha*x^+ + (1-alpha)*x^-."""
 
     alpha: float
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        object.__setattr__(self, "_sides", (self.alpha, 1.0, 1.0 - self.alpha, 1.0))
 
 
 @dataclass(frozen=True)
-class AsymQuadratic:
+class AsymQuadratic(_TwoSided):
     """h(x) = alpha*(x^+)^2 + (1-alpha)*(x^-)^2."""
 
     alpha: float
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        object.__setattr__(self, "_sides", (self.alpha, 2.0, 1.0 - self.alpha, 2.0))
 
 
 @dataclass(frozen=True)
@@ -59,14 +97,14 @@ class PowerLoss:
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.coefficient < 0.0:
-            raise ValueError("power-loss coefficient must be nonnegative")
-        if self.exponent < 1.0:
-            raise ValueError("power-loss exponent must be >= 1")
+        if not (self.coefficient >= 0.0 and math.isfinite(self.coefficient)):
+            raise ValueError("power-loss coefficient must be a nonnegative real")
+        if not (self.exponent >= 1.0 and math.isfinite(self.exponent)):
+            raise ValueError("power-loss exponent must be a real >= 1")
 
 
 @dataclass(frozen=True)
-class GeneralizedQuantile:
+class GeneralizedQuantile(_TwoSided):
     """h(x) = alpha*l1(x^+) + (1-alpha)*l2(x^-) for power losses l1, l2."""
 
     alpha: float
@@ -75,6 +113,8 @@ class GeneralizedQuantile:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        a, b = self.alpha * self.l1.coefficient, (1.0 - self.alpha) * self.l2.coefficient
+        object.__setattr__(self, "_sides", (a, self.l1.exponent, b, self.l2.exponent))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +130,10 @@ class CustomLoss:
     growth_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.growth_constant < 0.0:
-            raise ValueError("growth_constant must be nonnegative")
-        if self.growth_power < 1.0:
-            raise ValueError("growth_power must be >= 1")
+        if not (self.growth_constant >= 0.0 and math.isfinite(self.growth_constant)):
+            raise ValueError("growth_constant must be a nonnegative real")
+        if not (self.growth_power >= 1.0 and math.isfinite(self.growth_power)):
+            raise ValueError("growth_power must be a real >= 1")
 
     def _key(self) -> tuple:
         return (id(self.evaluator), self.growth_constant, self.growth_power)
@@ -106,6 +146,34 @@ class CustomLoss:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def value(self, x) -> np.ndarray:
+        """The evaluator on an array, point by point if it only takes scalars."""
+        arr = np.asarray(x, dtype=float)
+        try:
+            out = np.asarray(self.evaluator(arr), dtype=float)
+            if out.shape == arr.shape:
+                return out
+        except Exception:
+            pass
+        return np.array([float(self.evaluator(float(v))) for v in arr.ravel()]).reshape(arr.shape)
+
+    def growth_bound(self) -> tuple[float, float]:
+        return self.growth_constant, self.growth_power
+
+    def check_growth_bound(self) -> None:
+        """Raise UncertifiedGrowth where the stated bound fails on a grid."""
+        vals = self.value(_CERT_GRID)
+        bound = self.growth_constant * (1.0 + np.abs(_CERT_GRID) ** self.growth_power)
+        bad = vals > bound + 1e-9 * (1.0 + np.abs(bound))
+        if np.any(bad):
+            x_bad = float(_CERT_GRID[np.argmax(bad)])
+            raise UncertifiedGrowth(
+                f"growth bound h(x) <= C(1+|x|^p) fails at x={x_bad!r}"
+            )
+
+    def closed_form(self, p: float) -> None:
+        return None
+
 
 LossSpec = Union[Pinball, AsymQuadratic, GeneralizedQuantile, CustomLoss]
 
@@ -117,26 +185,8 @@ class CostExponent:
     p: float
 
     def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError("cost exponent p must be >= 1")
-
-
-def pinball_coefficients(loss: LossSpec) -> Optional[tuple[float, float]]:
-    """(a, b) with h(x) = a*x^+ + b*x^-, or None if not of that shape."""
-    if isinstance(loss, Pinball):
-        return loss.alpha, 1.0 - loss.alpha
-    if isinstance(loss, GeneralizedQuantile) and loss.l1.exponent == 1.0 and loss.l2.exponent == 1.0:
-        return loss.alpha * loss.l1.coefficient, (1.0 - loss.alpha) * loss.l2.coefficient
-    return None
-
-
-def quad_coefficients(loss: LossSpec) -> Optional[tuple[float, float]]:
-    """(a, b) with h(x) = a*(x^+)^2 + b*(x^-)^2, or None."""
-    if isinstance(loss, AsymQuadratic):
-        return loss.alpha, 1.0 - loss.alpha
-    if isinstance(loss, GeneralizedQuantile) and loss.l1.exponent == 2.0 and loss.l2.exponent == 2.0:
-        return loss.alpha * loss.l1.coefficient, (1.0 - loss.alpha) * loss.l2.coefficient
-    return None
+        if not (self.p >= 1.0 and math.isfinite(self.p)):
+            raise ValueError("cost exponent p must be a real >= 1")
 
 
 def quad_transform_coefficients(a: float, b: float, lam: float) -> Optional[tuple[float, float]]:
@@ -158,46 +208,23 @@ def quad_transform_coefficients(a: float, b: float, lam: float) -> Optional[tupl
     return a * lam / (lam - a), b * lam / (lam - b)
 
 
-def closed_form_kind(loss: LossSpec, cost: CostExponent) -> Optional[str]:
-    if cost.p == 1.0 and pinball_coefficients(loss) is not None:
-        return "pinball"
-    if cost.p == 2.0 and quad_coefficients(loss) is not None:
-        return "quad"
-    return None
+def transform_coefficients(a: float, b: float, p: float, lam: float) -> Optional[tuple[float, float]]:
+    """(A, B) with transform A*(x^+)^p + B*(x^-)^p of the closed form (a, b)
+    under the cost |x - y|^p at level lam, for p in {1, 2}; None where the
+    transform is +inf at every x.
+
+    With p = 1 the transform is the loss itself from lam = max(a, b) on."""
+    if p == 1.0:
+        return (a, b) if lam >= max(a, b) else None
+    return quad_transform_coefficients(a, b, lam)
 
 
 def loss_value(loss: LossSpec, x) -> float | np.ndarray:
     """h(x); accepts scalars or numpy arrays."""
-    xp = np.maximum(x, 0.0)
-    xm = np.maximum(-np.asarray(x, dtype=float), 0.0)
-    pin = pinball_coefficients(loss)
-    if pin is not None:
-        out = pin[0] * xp + pin[1] * xm
-    else:
-        quad = quad_coefficients(loss)
-        if quad is not None:
-            out = quad[0] * xp * xp + quad[1] * xm * xm
-        elif isinstance(loss, GeneralizedQuantile):
-            out = loss.alpha * loss.l1.coefficient * xp**loss.l1.exponent + (
-                1.0 - loss.alpha
-            ) * loss.l2.coefficient * xm**loss.l2.exponent
-        elif isinstance(loss, CustomLoss):
-            out = _custom_eval(loss, np.asarray(x, dtype=float))
-        else:
-            raise TypeError(f"unsupported loss {type(loss).__name__}")
+    out = loss.value(x)
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
-
-
-def _custom_eval(loss: CustomLoss, arr: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(loss.evaluator(arr), dtype=float)
-        if out.shape == arr.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(loss.evaluator(float(v))) for v in arr.ravel()]).reshape(arr.shape)
 
 
 def _growth_certificate(loss: LossSpec, cost: CostExponent) -> float:
@@ -206,20 +233,7 @@ def _growth_certificate(loss: LossSpec, cost: CostExponent) -> float:
     Raises UncertifiedGrowth when no bound with the cost's exponent exists
     (loss power above p) or when the stated bound fails numerically.
     """
-    pin = pinball_coefficients(loss)
-    if pin is not None:
-        base_c, base_g = max(pin), 1.0
-    else:
-        quad = quad_coefficients(loss)
-        if quad is not None:
-            base_c, base_g = max(quad), 2.0
-        elif isinstance(loss, GeneralizedQuantile):
-            base_c = max(loss.alpha * loss.l1.coefficient, (1.0 - loss.alpha) * loss.l2.coefficient)
-            base_g = max(loss.l1.exponent, loss.l2.exponent)
-        elif isinstance(loss, CustomLoss):
-            base_c, base_g = loss.growth_constant, loss.growth_power
-        else:
-            raise TypeError(f"unsupported loss {type(loss).__name__}")
+    base_c, base_g = loss.growth_bound()
     if base_g > cost.p:
         raise UncertifiedGrowth(
             f"loss grows like |x|^{base_g} but the cost exponent is {cost.p}"
@@ -227,29 +241,19 @@ def _growth_certificate(loss: LossSpec, cost: CostExponent) -> float:
     # |x|^g <= 1 + |x|^p for g <= p, so the bound survives an exponent upgrade
     # at the price of a factor 2 outside the matched case.
     c_eff = base_c if base_g == cost.p else 2.0 * base_c
-    if isinstance(loss, CustomLoss):
-        vals = _custom_eval(loss, _CERT_GRID)
-        bound = loss.growth_constant * (1.0 + np.abs(_CERT_GRID) ** loss.growth_power)
-        bad = vals > bound + 1e-9 * (1.0 + np.abs(bound))
-        if np.any(bad):
-            x_bad = float(_CERT_GRID[np.argmax(bad)])
-            raise UncertifiedGrowth(
-                f"growth bound h(x) <= C(1+|x|^p) fails at x={x_bad!r}"
-            )
+    loss.check_growth_bound()
     return c_eff
 
 
 def finiteness_threshold(loss: LossSpec, cost: CostExponent) -> float:
     """Infimal lambda below which the transform is certified to be +inf.
 
-    Closed-form families use the exact switching level max(a, b); everything
-    else returns the (possibly conservative) certified growth constant.
+    Closed forms use the exact switching level max(a, b); everything else
+    returns the (possibly conservative) certified growth constant.
     """
-    kind = closed_form_kind(loss, cost)
-    if kind == "pinball":
-        return max(pinball_coefficients(loss))  # type: ignore[arg-type]
-    if kind == "quad":
-        return max(quad_coefficients(loss))  # type: ignore[arg-type]
+    form = loss.closed_form(cost.p)
+    if form is not None:
+        return max(form)
     return _growth_certificate(loss, cost)
 
 
@@ -427,26 +431,23 @@ def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float)
     """sup_y { l(y) - lam*|x-y|^p } as an extended real."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    kind = closed_form_kind(loss, cost)
-    if kind == "pinball":
-        a, b = pinball_coefficients(loss)  # type: ignore[misc]
-        if lam >= max(a, b):
-            return float(loss_value(loss, x))
-        return INF
-    if kind == "quad":
-        coef = quad_transform_coefficients(*quad_coefficients(loss), lam)  # type: ignore[misc]
-        if coef is None:
+    form = loss.closed_form(cost.p)
+    if form is None:
+        c_eff = _growth_certificate(loss, cost)
+        if lam <= c_eff:
             return INF
-        big_a, big_b = coef
-        if x > 0.0:
-            return big_a * x * x
-        if x < 0.0:
-            return big_b * x * x
-        return x * x  # 0 (NaN stays NaN)
-    c_eff = _growth_certificate(loss, cost)
-    if lam <= c_eff:
+        return float(_numeric_sup(loss, cost, lam, np.array([float(x)]), c_eff)[0])
+    coef = transform_coefficients(*form, cost.p, lam)
+    if coef is None:
         return INF
-    return float(_numeric_sup(loss, cost, lam, np.array([float(x)]), c_eff)[0])
+    if cost.p == 1.0:
+        return float(loss_value(loss, x))
+    big_a, big_b = coef
+    if x > 0.0:
+        return big_a * x * x
+    if x < 0.0:
+        return big_b * x * x
+    return x * x  # 0 (NaN stays NaN)
 
 
 def lambda_c_transform_many(loss: LossSpec, cost: CostExponent, lam: float, xs) -> np.ndarray:
@@ -457,7 +458,7 @@ def lambda_c_transform_many(loss: LossSpec, cost: CostExponent, lam: float, xs) 
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     xs = np.asarray(xs, dtype=float).ravel()
-    if closed_form_kind(loss, cost) is not None or xs.size == 0:
+    if loss.closed_form(cost.p) is not None or xs.size == 0:
         return np.array([lambda_c_transform(loss, cost, lam, float(x)) for x in xs])
     c_eff = _growth_certificate(loss, cost)
     if lam <= c_eff:

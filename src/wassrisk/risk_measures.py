@@ -17,7 +17,7 @@ lambda-dependent level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .distributions import (
@@ -27,17 +27,12 @@ from .distributions import (
     quantile,
 )
 from .errors import DeltaTooSmall, MomentUndefined, NoConvergence
-from .losses import CostExponent, LossSpec, quad_transform_coefficients
+from .losses import CostExponent, LossSpec, _check_alpha, quad_transform_coefficients
 from .penalizations import Penalization
 from .robust_core import MAX_DOUBLINGS, MAX_ITER, RobustValue, SearchOptions, _solve_outer
 from .solvers import golden_section_min, increasing_root
 
 INF = math.inf
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +42,7 @@ class ExpectileLevel:
 
     alpha: float
     delta: float
-    adjusted_alpha: float = math.nan
+    adjusted_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)

@@ -10,17 +10,19 @@ certainty equivalent adds an outer minimization of m + E_phi(l, X, m).
 
 Analytic shortcuts cover the common penalty/loss pairs:
 
-* pinball-shaped losses with p = 1: the transform equals the loss itself on
-  its finite range, so E_phi = E[h(X-m)] + phi*(max(a, b)) for every phi;
+* a loss with a closed form (a, b) for p = 1 (see `losses`): the transform
+  equals the loss itself on its finite range, so E_phi = E[h(X-m)] +
+  phi*(max(a, b)) for every phi;
 * phi* zero on its whole domain (linear phi, a ball of radius 0): the
   transform expectation is nonincreasing in lam, so the infimum sits at the
   end of that domain, the slope delta of a linear phi, or the lam -> inf
   limit of a zero radius, where only the baseline law is admissible and the
   functional collapses to the classical expectation.
 
-Everything else runs a golden-section search over the feasible lambda range;
-for quadratic-shaped losses with p = 2 it takes the prior's second partial
-moments at m once per search.
+Everything else runs a golden-section search over the feasible lambda range.
+A closed form's transform is A*(x^+)^p + B*(x^-)^p, so the prior enters only
+through its partial moments at m; for p = 2 they are taken once per search.
+Losses without a closed form take the transform of every atom numerically.
 """
 
 from __future__ import annotations
@@ -41,13 +43,11 @@ from .errors import Infeasible, NoConvergence
 from .losses import (
     CostExponent,
     LossSpec,
-    closed_form_kind,
     finiteness_threshold,
     lambda_c_transform_many,
     loss_value,
-    pinball_coefficients,
-    quad_coefficients,
     quad_transform_coefficients,
+    transform_coefficients,
 )
 from .penalizations import Penalization, conjugate
 from .solvers import expand_bracket, flat_minimum_edges, golden_section_min
@@ -90,15 +90,27 @@ class RobustValue:
     boundary_lambda: bool = False
 
 
+def _partial_moment_sum(d: PriorDistribution, big_a: float, big_b: float, p: float, m: float) -> float:
+    """A*E[((X - m)^+)^p] + B*E[((X - m)^-)^p]; an infinite side leaves a
+    finite value only when it holds no mass."""
+    if math.isinf(big_a):
+        if d.prob_above(m) > 0.0:
+            return INF
+        return big_b * partial_moment_minus(d, m, p)
+    if math.isinf(big_b):
+        if d.prob_below(m) > 0.0:
+            return INF
+        return big_a * partial_moment_plus(d, m, p)
+    return big_a * partial_moment_plus(d, m, p) + big_b * partial_moment_minus(d, m, p)
+
+
 def expected_loss(d: PriorDistribution, loss: LossSpec, m: float) -> float:
-    """E[l(X - m)] via partial moments when the loss is pinball- or
-    quadratic-shaped, atom sums otherwise."""
-    pin = pinball_coefficients(loss)
-    if pin is not None:
-        return pin[0] * partial_moment_plus(d, m, 1) + pin[1] * partial_moment_minus(d, m, 1)
-    quad = quad_coefficients(loss)
-    if quad is not None:
-        return quad[0] * partial_moment_plus(d, m, 2) + quad[1] * partial_moment_minus(d, m, 2)
+    """E[l(X - m)] via partial moments when the loss has a closed form for
+    its own growth exponent, atom sums otherwise."""
+    _, p = loss.growth_bound()
+    form = loss.closed_form(p)
+    if form is not None:
+        return _partial_moment_sum(d, *form, p, m)
     xs, w = d.atoms()
     vals = np.asarray(loss_value(loss, xs - m), dtype=float)
     if np.any(np.isinf(vals)):
@@ -110,27 +122,12 @@ def expected_transform(
     d: PriorDistribution, loss: LossSpec, cost: CostExponent, lam: float, m: float
 ) -> float:
     """E[l^{lam c}(X - m)]; +inf as soon as any mass maps to +inf."""
-    kind = closed_form_kind(loss, cost)
-    if kind == "pinball":
-        a, b = pinball_coefficients(loss)  # type: ignore[misc]
-        if lam < max(a, b):
-            return INF
-        return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1)
-    if kind == "quad":
-        coef = quad_transform_coefficients(*quad_coefficients(loss), lam)  # type: ignore[misc]
+    form = loss.closed_form(cost.p)
+    if form is not None:
+        coef = transform_coefficients(*form, cost.p, lam)
         if coef is None:
             return INF
-        big_a, big_b = coef
-        # an infinite side leaves a finite value only when it holds no mass
-        if math.isinf(big_a):
-            if d.prob_above(m) > 0.0:
-                return INF
-            return big_b * partial_moment_minus(d, m, 2)
-        if math.isinf(big_b):
-            if d.prob_below(m) > 0.0:
-                return INF
-            return big_a * partial_moment_plus(d, m, 2)
-        return big_a * partial_moment_plus(d, m, 2) + big_b * partial_moment_minus(d, m, 2)
+        return _partial_moment_sum(d, *coef, cost.p, m)
     xs, w = d.atoms()
     t = lambda_c_transform_many(loss, cost, lam, xs - m)
     if np.any(np.isinf(t)):
@@ -147,10 +144,10 @@ def _functional_detail(
     opt: SearchOptions,
 ) -> tuple[float, float, bool]:
     """(value, argmin lambda, boundary flag) of the dual minimization at m."""
-    thr = finiteness_threshold(loss, cost)
-    kind = closed_form_kind(loss, cost)
+    form = loss.closed_form(cost.p)
+    thr = finiteness_threshold(loss, cost) if form is None else max(form)
 
-    if kind == "pinball":
+    if form is not None and cost.p == 1.0:
         # transform == loss on lam >= max(a, b) and phi* is nondecreasing,
         # so the infimum sits exactly at the switching level
         c = conjugate(phi, thr)
@@ -159,7 +156,8 @@ def _functional_detail(
                 f"conjugate is +inf at the finiteness threshold {thr!r}; "
                 "the dual objective is +inf for every lambda"
             )
-        return expected_transform(d, loss, cost, thr, m) + c, thr, True
+        a, b = form
+        return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1) + c, thr, True
 
     if phi.conjugate_vanishes:
         # phi* is zero on its whole domain and the transform expectation is
@@ -185,12 +183,12 @@ def _functional_detail(
             f"threshold {thr!r}"
         )
 
-    if kind == "quad":
-        # the prior enters the quadratic transform only through its second
+    if form is not None:
+        # p = 2: the prior enters the transform only through its second
         # partial moments at m, so take them once for the whole search; every
         # lambda searched lies above max(a, b), where both transform
         # coefficients are finite (the same sum expected_transform forms)
-        a, b = quad_coefficients(loss)  # type: ignore[misc]
+        a, b = form
         plus = partial_moment_plus(d, m, 2)
         minus = partial_moment_minus(d, m, 2)
 

@@ -116,6 +116,13 @@ class TestThresholds:
         with pytest.raises(UncertifiedGrowth):
             finiteness_threshold(lying, P1)
 
+    def test_stated_power_above_p_raises_before_the_grid(self):
+        def never_called(y):
+            raise AssertionError("the grid must not be evaluated")
+
+        with pytest.raises(UncertifiedGrowth, match="grows like"):
+            finiteness_threshold(CustomLoss(never_called, 1.0, 2.0), P1)
+
     def test_cost_exponent_validation(self):
         with pytest.raises(ValueError):
             CostExponent(0.5)
@@ -314,6 +321,33 @@ class TestValidation:
             PowerLoss(-1.0, 2.0)
         with pytest.raises(ValueError):
             PowerLoss(1.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_power_loss_coefficient_finite(self, bad):
+        with pytest.raises(ValueError):
+            PowerLoss(bad, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_power_loss_exponent_finite(self, bad):
+        with pytest.raises(ValueError):
+            PowerLoss(1.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cost_exponent_finite(self, bad):
+        with pytest.raises(ValueError):
+            CostExponent(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_growth_constant_finite(self, bad):
+        # a NaN constant used to pass the grid certificate (every comparison
+        # with NaN is False) and give a finite dual value where it is +inf
+        with pytest.raises(ValueError):
+            CustomLoss(lambda y: y * y, bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_custom_growth_power_finite(self, bad):
+        with pytest.raises(ValueError):
+            CustomLoss(lambda y: y * y, 1.0, bad)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,12 @@ tests/data/parity_outputs.json holds float.hex() of every float (ints and
 bools as they are) that the cases below produce: each RobustValue field of
 robust_oce, classical_oce and robust_generalized_quantile_detail, linear and
 ball robust expectiles, classical expectiles, quantiles and cdfs, on every
-prior family, including an empirical prior with atoms far from 0.
+prior family, including an empirical prior with atoms far from 0.  The loss
+layer is pinned too: loss values, lambda-c transforms at and above the
+finiteness threshold, the thresholds themselves (or the exception raised),
+expected losses and transforms on every prior, and dual values of
+generalized-quantile and custom losses.  A case that raises is stored as
+{"raises": <exception name>}.
 
 A change that must not move any number keeps this test passing unchanged.
 A change that alters results on purpose regenerates the file with
@@ -20,22 +25,34 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from wassrisk import (
     AsymQuadratic,
     BallPenalty,
     CostExponent,
+    CustomLoss,
     Empirical,
     Exponential,
+    GeneralizedQuantile,
     LinearPenalty,
     Normal,
     PiecewiseLinearPenalty,
     Pinball,
+    PowerLoss,
     StudentT,
     classical_oce,
     expectile,
+    expected_loss,
+    expected_transform,
+    finiteness_threshold,
+    lambda_c_transform,
+    lambda_c_transform_many,
+    loss_value,
     quantile,
     robust_expectile_ball,
     robust_expectile_linear,
+    robust_functional,
     robust_oce,
 )
 from wassrisk.distributions import cdf
@@ -59,6 +76,40 @@ PRIORS = {
 }
 
 
+def _asym07_twin(y):
+    """AsymQuadratic(0.7) as a custom evaluator."""
+    return 0.7 * np.maximum(y, 0.0) ** 2 + 0.3 * np.maximum(-y, 0.0) ** 2
+
+
+LOSSES = {
+    "pinball0.3": Pinball(0.3),
+    "pinball0.5": Pinball(0.5),
+    "asym0.7": AsymQuadratic(0.7),
+    "asym0.3": AsymQuadratic(0.3),
+    "asym0.5": AsymQuadratic(0.5),
+    "gq1-1": GeneralizedQuantile(0.4, PowerLoss(1.3, 1.0), PowerLoss(0.8, 1.0)),
+    "gq2-2": GeneralizedQuantile(0.6, PowerLoss(0.9, 2.0), PowerLoss(1.2, 2.0)),
+    "gq1-2": GeneralizedQuantile(0.55, PowerLoss(1.1, 1.0), PowerLoss(0.7, 2.0)),
+    "gq1.5-1.2": GeneralizedQuantile(0.35, PowerLoss(1.4, 1.5), PowerLoss(0.6, 1.2)),
+    "gq-zero-side": GeneralizedQuantile(0.65, PowerLoss(1.0, 2.0), PowerLoss(0.0, 2.0)),
+    "custom-asym0.7": CustomLoss(_asym07_twin, 0.7, 2.0),
+}
+
+# the switching level max(a, b) of each closed-form loss under its exponent
+SWITCH = {
+    ("pinball0.3", 1.0): 0.7,
+    ("pinball0.5", 1.0): 0.5,
+    ("gq1-1", 1.0): max(0.4 * 1.3, 0.6 * 0.8),
+    ("asym0.7", 2.0): 0.7,
+    ("asym0.3", 2.0): 0.7,
+    ("asym0.5", 2.0): 0.5,
+    ("gq2-2", 2.0): max(0.6 * 0.9, 0.4 * 1.2),
+    ("gq-zero-side", 2.0): 0.65,
+}
+
+_XS = [-2.5, -1.0, -0.3, -0.0, 0.0, 0.4, 1.0, 3.7]
+
+
 def _encode(value):
     if isinstance(value, float):
         return value.hex()
@@ -78,9 +129,80 @@ def _robust_value(rv) -> dict:
     }
 
 
+def _attempt(fn, *args):
+    """fn(*args) encoded, or the name of the exception it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return {"raises": type(exc).__name__}
+    if isinstance(result, np.ndarray):
+        result = result.tolist()
+    return _encode(result)
+
+
+def _loss_layer() -> dict:
+    out: dict = {}
+    xs = np.array(_XS)
+    for name, loss in LOSSES.items():
+        out[f"loss_value/{name}/scalar"] = _encode([loss_value(loss, x) for x in _XS])
+        out[f"loss_value/{name}/array"] = _attempt(loss_value, loss, xs)
+        for p in (1.0, 2.0):
+            out[f"finiteness_threshold/{name}/p{p}"] = _attempt(finiteness_threshold, loss, CostExponent(p))
+    for (name, p), switch in SWITCH.items():
+        loss, cost = LOSSES[name], CostExponent(p)
+        for lam in (switch, switch + 0.37, 2.5):
+            key = f"{name}/p{p}/lam{lam!r}"
+            out[f"lambda_c_transform/{key}"] = _encode([lambda_c_transform(loss, cost, lam, x) for x in _XS])
+            out[f"lambda_c_transform_many/{key}"] = _attempt(lambda_c_transform_many, loss, cost, lam, xs)
+    for name in ("gq1-2", "gq1.5-1.2", "custom-asym0.7"):
+        lam = 2.0 * finiteness_threshold(LOSSES[name], P2) + 0.4
+        out[f"lambda_c_transform_many/{name}/p2.0/lam{lam!r}"] = _attempt(
+            lambda_c_transform_many, LOSSES[name], P2, lam, xs
+        )
+    for prior, d in PRIORS.items():
+        center = quantile(d, 0.5)
+        for m in (center - 0.8, center + 0.3, quantile(d, 0.01), quantile(d, 0.99)):
+            for name in ("pinball0.3", "asym0.7", "gq1-2", "gq-zero-side"):
+                out[f"expected_loss/{name}/{prior}/m{m!r}"] = _attempt(expected_loss, d, LOSSES[name], m)
+            for (name, p), switch in SWITCH.items():
+                if name in ("pinball0.3", "asym0.7", "asym0.3", "gq-zero-side"):
+                    for lam in (switch, switch + 0.37):
+                        out[f"expected_transform/{name}/p{p}/lam{lam!r}/{prior}/m{m!r}"] = _attempt(
+                            expected_transform, d, LOSSES[name], CostExponent(p), lam, m
+                        )
+        # at lam = max(a, b) one side is infinite: the extreme atoms leave
+        # no mass on it
+        lo, hi = d.support if isinstance(d, Empirical) else (quantile(d, 0.001), quantile(d, 0.999))
+        out[f"expected_transform/asym0.7/p2.0/lam0.7/{prior}/top"] = _attempt(
+            expected_transform, d, LOSSES["asym0.7"], P2, 0.7, hi
+        )
+        out[f"expected_transform/asym0.3/p2.0/lam0.7/{prior}/bottom"] = _attempt(
+            expected_transform, d, LOSSES["asym0.3"], P2, 0.7, lo
+        )
+        out[f"expected_transform/gq1-2/p2.0/lam3.0/{prior}"] = _attempt(
+            expected_transform, d, LOSSES["gq1-2"], P2, 3.0, center
+        )
+    emp = PRIORS["empirical"]
+    for name in ("gq1-2", "gq1.5-1.2", "custom-asym0.7"):
+        for m in (-0.4, 0.5):
+            out[f"robust_functional/{name}/linear2.5/empirical/m{m!r}"] = _attempt(
+                robust_functional, emp, LOSSES[name], P2, LinearPenalty(2.5), m
+            )
+    for prior in ("normal", "empirical"):
+        out[f"robust_oce/gq2-2/ball0.4/{prior}"] = _robust_value(
+            robust_oce(PRIORS[prior], LOSSES["gq2-2"], P2, BallPenalty(0.4))
+        )
+        out[f"quantile_detail/gq1-1/piecewise/{prior}"] = _robust_value(
+            robust_generalized_quantile_detail(
+                PRIORS[prior], LOSSES["gq1-1"], P1, PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0)))
+            )
+        )
+    return out
+
+
 def compute() -> dict:
     """Every stored result, keyed by case."""
-    out: dict = {}
+    out: dict = _loss_layer()
     piecewise = PiecewiseLinearPenalty(((0.0, 0.3), (0.8, 1.1), (2.0, 3.5)))
     for name, d in PRIORS.items():
         out[f"robust_oce/asym0.7/ball0.4/{name}"] = _robust_value(
@@ -122,7 +244,8 @@ def test_outputs_match_stored_results():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_output_parity.py --write")
+    results = compute()
     with open(DATA, "w") as handle:
-        json.dump(compute(), handle, indent=1, sort_keys=True)
+        json.dump(results, handle, indent=1, sort_keys=True)
         handle.write("\n")
     print(f"wrote {DATA}")

@@ -133,6 +133,12 @@ class TestRobustExpectileLinear:
         # approaches the plain level as delta grows
         assert adjusted_level(0.7, 1e9) == pytest.approx(0.7, abs=1e-8)
 
+    def test_adjusted_alpha_is_derived(self):
+        # the adjusted level follows from alpha and delta; it is not an argument
+        with pytest.raises(TypeError):
+            ExpectileLevel(0.3, 2.0, 0.9)
+        assert ExpectileLevel(0.3, 2.0).adjusted_alpha == adjusted_level(0.3, 2.0)
+
     def test_large_delta_limit(self):
         for d in (Normal(0, 1), Exponential(1), StudentT(5)):
             for alpha in (0.2, 0.5, 0.8):
