@@ -155,8 +155,7 @@ def _require_alpha(args: argparse.Namespace) -> float:
 def _search_options(args: argparse.Namespace) -> SearchOptions:
     kwargs = {}
     if getattr(args, "tol", None) is not None:
-        kwargs["m_tol"] = args.tol
-        kwargs["lambda_tol"] = args.tol
+        kwargs["tol"] = args.tol
     if getattr(args, "restrict_support", False):
         kwargs["restrict_to_support"] = True
     return SearchOptions(**kwargs)
@@ -186,8 +185,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     alpha = _require_alpha(args)
     phi = _build_penalty(args)
     loss = Pinball(alpha) if args.loss == "pinball" else AsymQuadratic(alpha)
-    default_p = 1.0 if args.loss == "pinball" else 2.0
-    cost = CostExponent(args.cost_p if args.cost_p is not None else default_p)
+    # the cost exponent is the loss's own: 1 for pinball, 2 for asym-quadratic
+    cost = CostExponent(loss.growth_bound()[1])
     opt = _search_options(args)
     if kind == "oce":
         rv = robust_oce(d, loss, cost, phi, opt)
@@ -325,7 +324,6 @@ def build_parser() -> _Parser:
     m.add_argument("--alpha", type=float, help="level in (0, 1)")
     m.add_argument("--delta", type=float, help="penalty parameter")
     m.add_argument("--penalty", choices=["linear", "ball"])
-    m.add_argument("--cost-p", type=float, choices=[1.0, 2.0], dest="cost_p")
     m.add_argument("--loss", choices=["pinball", "asym-quadratic"], default="pinball")
     m.add_argument(
         "--restrict-support",

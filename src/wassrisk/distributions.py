@@ -58,18 +58,12 @@ class Empirical:
         weights = weights / total
         order = np.argsort(values, kind="stable")
         values, weights = values[order], weights[order]
-        # merge exact ties so the support is strictly increasing
-        keep_v: list[float] = []
-        keep_w: list[float] = []
-        for v, w in zip(values, weights):
-            if keep_v and v == keep_v[-1]:
-                keep_w[-1] += w
-            else:
-                keep_v.append(float(v))
-                keep_w.append(float(w))
-        x = np.array(keep_v)
-        w = np.array(keep_w)
-        object.__setattr__(self, "points", tuple(zip(keep_v, keep_w)))
+        # merge exact ties so the support is strictly increasing: each run
+        # keeps its first value, and bincount sums its weights in order
+        start = np.concatenate(([True], values[1:] != values[:-1]))
+        x = values[start]
+        w = np.bincount(np.cumsum(start) - 1, weights=weights)
+        object.__setattr__(self, "points", tuple(zip(x.tolist(), w.tolist())))
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_w", w)
         cw = np.cumsum(w)

@@ -62,18 +62,10 @@ def _threshold_extreme(x: np.ndarray, p: np.ndarray, rho: float) -> float:
     objective is a Moebius function of the moved mass, hence extremal at a
     pure split, so scanning the n+1 split points is exact.
     """
-    cw = np.concatenate(([0.0], np.cumsum(p)))
-    cwx = np.concatenate(([0.0], np.cumsum(p * x)))
-    total_x = cwx[-1]
-    best = -math.inf
-    for k in range(len(x) + 1):
-        low_w, low_x = cw[k], cwx[k]
-        high_w, high_x = 1.0 - low_w, total_x - low_x
-        denom = low_w + rho * high_w
-        val = (low_x + rho * high_x) / denom
-        if val > best:
-            best = val
-    return float(best)
+    low_w = np.concatenate(([0.0], np.cumsum(p)))
+    low_x = np.concatenate(([0.0], np.cumsum(p * x)))
+    high_w, high_x = 1.0 - low_w, low_x[-1] - low_x
+    return float(np.max((low_x + rho * high_x) / (low_w + rho * high_w)))
 
 
 def dual_expectile_max(d: Empirical, band: DensityBand, direction: str = "max") -> float:

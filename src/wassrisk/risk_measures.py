@@ -11,7 +11,8 @@ which also equals the classical expectile at the adjusted level A/(A+B); the
 implementation solves the FOC and the identity is kept as a test property.
 The ball-penalty robust expectile minimizes the dual objective in lambda
 after profiling out m, whose inner minimizer is again an expectile at a
-lambda-dependent level.
+lambda-dependent level; the minimization is the dual's own lambda search,
+`robust_core._lambda_search`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .distributions import (
     partial_moment_plus,
     quantile,
 )
-from .errors import DeltaTooSmall, MomentUndefined, NoConvergence
+from .errors import DeltaTooSmall, MomentUndefined
 from .losses import CostExponent, LossSpec, _check_alpha, quad_transform_coefficients
 from .penalizations import Penalization
-from .robust_core import MAX_DOUBLINGS, MAX_ITER, RobustValue, SearchOptions, _solve_outer
-from .solvers import golden_section_min, increasing_root
+from .robust_core import RobustValue, SearchOptions, _lambda_search, _solve_outer
+from .solvers import increasing_root
 
 INF = math.inf
 
@@ -136,27 +137,7 @@ def _ball_stats(
             + delta2 * lam
         )
 
-    def g_slope(lam: float) -> float:
-        # envelope derivative: the inner minimizer drops out
-        m = inner_m(lam)
-        return (
-            delta2
-            - (alpha / (lam - alpha)) ** 2 * partial_moment_plus(d, m, 2)
-            - ((1.0 - alpha) / (lam - (1.0 - alpha))) ** 2 * partial_moment_minus(d, m, 2)
-        )
-
-    hi = lam_lo + 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if g_slope(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NoConvergence("no positive-slope upper bracket for the ball dual search")
-    lam_star, _, hit_cap = golden_section_min(
-        g_value, lam_lo, hi, tol=opt.lambda_tol, max_iter=MAX_ITER
-    )
-    if hit_cap:
-        raise NoConvergence("ball dual search exceeded the iteration budget")
+    _, lam_star, _ = _lambda_search(g_value, lam_lo, INF, opt)
     return inner_m(lam_star), lam_star, evals[0]
 
 

@@ -19,7 +19,11 @@ Analytic shortcuts cover the common penalty/loss pairs:
   limit of a zero radius, where only the baseline law is admissible and the
   functional collapses to the classical expectation.
 
-Everything else runs a golden-section search over the feasible lambda range.
+Everything else runs one lambda search (`_lambda_search`): a golden section
+over the feasible lambda range, bracketed by doubling when the range has no
+end.  The ball-penalty robust expectile runs the same search on its profiled
+objective.  The search's bracket tolerance is `SearchOptions.tol`; its
+budgets are the `solvers` constants.
 A closed form's transform is A*(x^+)^p + B*(x^-)^p, so the prior enters only
 through its partial moments at m; for p = 2 they are taken once per search.
 Losses without a closed form take the transform of every atom numerically.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,25 +54,28 @@ from .losses import (
     transform_coefficients,
 )
 from .penalizations import Penalization, conjugate
-from .solvers import expand_bracket, flat_minimum_edges, golden_section_min
+from .solvers import (
+    FLAT_VALUE_TOL,
+    INTERVAL_RESOLUTION,
+    MAX_DOUBLINGS,
+    expand_bracket,
+    flat_minimum_edges,
+    golden_section_min,
+)
 
 INF = math.inf
 
-# budgets and tolerances of the nested searches that no caller tunes
-MAX_ITER = 200
-MAX_DOUBLINGS = 60
-FLAT_VALUE_TOL = 1e-10
-INTERVAL_RESOLUTION = 1e-6
+# the largest slope the convergence certificate accepts outside the argmin
 FOC_TOL = 1e-5
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Tolerances of the nested minimizations, and whether the outer search
-    over m stays on the support of an empirical prior."""
+    """Bracket tolerance of the golden sections over m and lambda, and
+    whether the outer search over m stays on the support of an empirical
+    prior."""
 
-    m_tol: float = 1e-9
-    lambda_tol: float = 1e-9
+    tol: float = 1e-9
     restrict_to_support: bool = False
 
 
@@ -133,6 +140,40 @@ def expected_transform(
     if np.any(np.isinf(t)):
         return INF
     return float(np.dot(w, t))
+
+
+def _lambda_search(
+    objective: Callable[[float], float], lam_lo: float, lam_cap: float, opt: SearchOptions
+) -> tuple[float, float, bool]:
+    """(value, argmin, boundary flag) of a convex dual objective over
+    [lam_lo, lam_cap]; an infinite cap is bracketed by doubling until the
+    objective stops decreasing."""
+    if math.isinf(lam_cap):
+        hi = lam_lo + 1.0
+        f_hi = objective(hi)
+        bracketed = False
+        for _ in range(MAX_DOUBLINGS):
+            nxt = hi * 2.0
+            f_nxt = objective(nxt)
+            if f_nxt >= f_hi:
+                hi = nxt
+                bracketed = True
+                break
+            hi, f_hi = nxt, f_nxt
+        if not bracketed:
+            raise NoConvergence("no upper lambda bracket found for the dual search")
+    else:
+        hi = lam_cap
+
+    lam_star, value, hit_cap = golden_section_min(objective, lam_lo, hi, tol=opt.tol)
+    if math.isinf(value):
+        raise Infeasible("dual objective is +inf on the whole feasible range")
+    if hit_cap:
+        raise NoConvergence("lambda search exceeded the iteration budget")
+    boundary = (lam_star - lam_lo) <= 10.0 * opt.tol or (
+        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.tol
+    )
+    return value, lam_star, boundary
 
 
 def _functional_detail(
@@ -201,34 +242,7 @@ def _functional_detail(
         def objective(lam: float) -> float:
             return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
 
-    if math.isinf(lam_cap):
-        hi = lam_lo + 1.0
-        f_hi = objective(hi)
-        bracketed = False
-        for _ in range(MAX_DOUBLINGS):
-            nxt = hi * 2.0
-            f_nxt = objective(nxt)
-            if f_nxt >= f_hi:
-                hi = nxt
-                bracketed = True
-                break
-            hi, f_hi = nxt, f_nxt
-        if not bracketed:
-            raise NoConvergence("no upper lambda bracket found for the dual search")
-    else:
-        hi = lam_cap
-
-    lam_star, value, hit_cap = golden_section_min(
-        objective, lam_lo, hi, tol=opt.lambda_tol, max_iter=MAX_ITER
-    )
-    if math.isinf(value):
-        raise Infeasible("dual objective is +inf on the whole feasible range")
-    if hit_cap:
-        raise NoConvergence("lambda search exceeded the iteration budget")
-    boundary = (lam_star - lam_lo) <= 10.0 * opt.lambda_tol or (
-        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.lambda_tol
-    )
-    return value, lam_star, boundary
+    return _lambda_search(objective, lam_lo, lam_cap, opt)
 
 
 def robust_functional(
@@ -282,16 +296,12 @@ def _solve_outer(
         lo, hi = d.support
         flat_left = flat_right = False
     else:
-        lo, hi, flat_left, flat_right = expand_bracket(
-            f, center - span, center + span, max_doublings=MAX_DOUBLINGS, flat_tol=FLAT_VALUE_TOL
-        )
+        lo, hi, flat_left, flat_right = expand_bracket(f, center - span, center + span)
     if hi == lo:
         f_min, m1, m2, m_star, converged = f(lo), lo, hi, lo, True
     else:
-        m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.m_tol, max_iter=MAX_ITER)
-        m1, m2 = flat_minimum_edges(
-            f, m_star, f_min, lo, hi, value_tol=FLAT_VALUE_TOL, resolution=INTERVAL_RESOLUTION
-        )
+        m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.tol)
+        m1, m2 = flat_minimum_edges(f, m_star, f_min, lo, hi)
         if flat_left and m1 <= lo + INTERVAL_RESOLUTION:
             m1 = lo
         if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
@@ -304,7 +314,7 @@ def _solve_outer(
         # tolerance that defines it; a smaller one is within the objective's
         # own accuracy (a minimum on an atom just past the located edge,
         # partial moments with noise near 1e-10)
-        h = max(INTERVAL_RESOLUTION, 10.0 * opt.m_tol)
+        h = max(INTERVAL_RESOLUTION, 10.0 * opt.tol)
         left_ok = right_ok = True
         if m1 - h > lo:
             fall = f(m1) - f(m1 - h)

@@ -2,7 +2,9 @@
 
 Golden-section search over a bracket, outward bracket expansion that
 distinguishes flat plateaus from unbounded descent, flat-minimum edge
-detection, and a monotone-root helper wrapping Brent's method.
+detection, and a monotone-root helper wrapping Brent's method.  Their
+budgets and tolerances are the module constants below; only the golden
+section's bracket tolerance is an argument.
 """
 
 from __future__ import annotations
@@ -16,13 +18,19 @@ from .errors import NoConvergence
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# golden-section iterations, outward doublings of a bracket, the value gap
+# that counts as flat, and the resolution of a flat minimum's edges
+MAX_ITER = 200
+MAX_DOUBLINGS = 60
+FLAT_VALUE_TOL = 1e-10
+INTERVAL_RESOLUTION = 1e-6
+
 
 def golden_section_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> Tuple[float, float, bool]:
     """Minimize a unimodal f on [lo, hi]; returns (x, f(x), hit_iteration_cap)."""
     a, b = float(lo), float(hi)
@@ -32,7 +40,7 @@ def golden_section_min(
     c2 = a + _INVPHI * (b - a)
     f1, f2 = f(c1), f(c2)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < MAX_ITER:
         if f1 <= f2:
             b, c2, f2 = c2, c1, f1
             c1 = b - _INVPHI * (b - a)
@@ -50,15 +58,11 @@ def golden_section_min(
         x, fx = a, fa
     if fb < fx:
         x, fx = b, fb
-    return x, fx, it >= max_iter
+    return x, fx, it >= MAX_ITER
 
 
 def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    max_doublings: int = 60,
-    flat_tol: float = 1e-10,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> Tuple[float, float, bool, bool]:
     """Widen [lo, hi] until both endpoint values clearly exceed the best value
     seen between them.
@@ -74,44 +78,32 @@ def expand_bracket(
         lo, hi = lo - 0.5, hi + 0.5
     f_lo, f_hi = f(lo), f(hi)
     f_mid = f(0.5 * (lo + hi))
-    flat_left = flat_right = False
 
     # convex f that stops decreasing along a ray never decreases again, so one
     # non-decreasing doubling certifies a flat side; stopping there also keeps
-    # the bracket small enough that float noise stays below flat_tol
-    best = min(f_mid, f_hi)
-    step = max(hi - lo, 1.0)
-    k = 0
-    while f_lo <= best + flat_tol:
-        if k >= max_doublings:
-            raise NoConvergence("objective keeps decreasing toward -inf on the left")
-        best = min(best, f_lo)
-        new_lo = lo - step
-        step *= 2.0
-        f_new = f(new_lo)
-        k += 1
-        if f_new >= f_lo - flat_tol and f_new <= best + flat_tol:
-            lo, f_lo = new_lo, f_new
-            flat_left = True
-            break
-        lo, f_lo = new_lo, f_new
+    # the bracket small enough that float noise stays below FLAT_VALUE_TOL
+    def widen(
+        x: float, f_x: float, f_other: float, step: float, direction: float
+    ) -> Tuple[float, float, bool]:
+        best = min(f_mid, f_other)
+        k = 0
+        while f_x <= best + FLAT_VALUE_TOL:
+            if k >= MAX_DOUBLINGS:
+                side = "left" if direction < 0.0 else "right"
+                raise NoConvergence(f"objective keeps decreasing toward -inf on the {side}")
+            best = min(best, f_x)
+            new_x = x + direction * step
+            step *= 2.0
+            f_new = f(new_x)
+            k += 1
+            flat = f_new >= f_x - FLAT_VALUE_TOL and f_new <= best + FLAT_VALUE_TOL
+            x, f_x = new_x, f_new
+            if flat:
+                return x, f_x, True
+        return x, f_x, False
 
-    best = min(f_mid, f_lo)
-    step = max(hi - lo, 1.0)
-    k = 0
-    while f_hi <= best + flat_tol:
-        if k >= max_doublings:
-            raise NoConvergence("objective keeps decreasing toward -inf on the right")
-        best = min(best, f_hi)
-        new_hi = hi + step
-        step *= 2.0
-        f_new = f(new_hi)
-        k += 1
-        if f_new >= f_hi - flat_tol and f_new <= best + flat_tol:
-            hi, f_hi = new_hi, f_new
-            flat_right = True
-            break
-        hi, f_hi = new_hi, f_new
+    lo, f_lo, flat_left = widen(lo, f_lo, f_hi, max(hi - lo, 1.0), -1.0)
+    hi, f_hi, flat_right = widen(hi, f_hi, f_lo, max(hi - lo, 1.0), 1.0)
     return lo, hi, flat_left, flat_right
 
 
@@ -121,24 +113,23 @@ def flat_minimum_edges(
     f_min: float,
     lo: float,
     hi: float,
-    value_tol: float = 1e-10,
-    resolution: float = 1e-6,
 ) -> Tuple[float, float]:
-    """Edges of the region {x in [lo, hi]: f(x) <= f_min + value_tol} around
-    x_star, located to `resolution` by expanding steps plus bisection."""
+    """Edges of the region {x in [lo, hi]: f(x) <= f_min + FLAT_VALUE_TOL}
+    around x_star, located to INTERVAL_RESOLUTION by expanding steps plus
+    bisection."""
 
     def edge(direction: float) -> float:
         limit = hi if direction > 0 else lo
         inside = x_star
         if (limit - inside) * direction <= 0.0:
             return limit
-        step = resolution
+        step = INTERVAL_RESOLUTION
         outside = None
         for _ in range(400):
             probe = inside + direction * step
             if (probe - limit) * direction >= 0.0:
                 probe = limit
-            if f(probe) <= f_min + value_tol:
+            if f(probe) <= f_min + FLAT_VALUE_TOL:
                 inside = probe
                 if probe == limit:
                     return limit
@@ -149,10 +140,10 @@ def flat_minimum_edges(
         if outside is None:
             return inside
         for _ in range(400):
-            if abs(outside - inside) <= resolution:
+            if abs(outside - inside) <= INTERVAL_RESOLUTION:
                 break
             mid = 0.5 * (inside + outside)
-            if f(mid) <= f_min + value_tol:
+            if f(mid) <= f_min + FLAT_VALUE_TOL:
                 inside = mid
             else:
                 outside = mid
@@ -163,12 +154,7 @@ def flat_minimum_edges(
     return min(m1, x_star), max(m2, x_star)
 
 
-def increasing_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    max_doublings: int = 60,
-) -> float:
+def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a nondecreasing f, expanding [lo, hi] until it brackets zero."""
     lo, hi = float(lo), float(hi)
     if hi < lo:
@@ -176,24 +162,22 @@ def increasing_root(
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
     f_lo, f_hi = f(lo), f(hi)
-    step = max(hi - lo, 1.0)
-    k = 0
-    while f_lo > 0.0:
-        if k >= max_doublings:
-            raise NoConvergence("no sign change found expanding left")
-        lo -= step
-        step *= 2.0
-        f_lo = f(lo)
-        k += 1
-    step = max(hi - lo, 1.0)
-    k = 0
-    while f_hi < 0.0:
-        if k >= max_doublings:
-            raise NoConvergence("no sign change found expanding right")
-        hi += step
-        step *= 2.0
-        f_hi = f(hi)
-        k += 1
+
+    def widen(x: float, f_x: float, step: float, direction: float) -> Tuple[float, float]:
+        # move x outward while f there is strictly on the wrong side of zero
+        k = 0
+        while direction * f_x < 0.0:
+            if k >= MAX_DOUBLINGS:
+                side = "left" if direction < 0.0 else "right"
+                raise NoConvergence(f"no sign change found expanding {side}")
+            x += direction * step
+            step *= 2.0
+            f_x = f(x)
+            k += 1
+        return x, f_x
+
+    lo, f_lo = widen(lo, f_lo, max(hi - lo, 1.0), -1.0)
+    hi, f_hi = widen(hi, f_hi, max(hi - lo, 1.0), 1.0)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

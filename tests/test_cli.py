@@ -122,6 +122,43 @@ class TestMeasure:
         )
         assert code == 3
 
+    def test_cost_exponent_is_the_losses_own(self, capsys, tmp_path):
+        # measure takes the cost exponent from the loss, so --cost-p is a
+        # usage error: asym-quadratic under p = 1 can only be a domain error
+        path = tmp_path / "four.csv"
+        path.write_text("1\n2\n3\n7.5\n")
+        code, _, err = run(
+            capsys,
+            "measure", "oce", "--loss", "asym-quadratic", "--cost-p", "1",
+            "--penalty", "ball", "--delta", "0.5", "--alpha", "0.3",
+            "--samples", str(path),
+        )
+        assert code == 1 and "--cost-p" in err
+
+    def test_restrict_support(self, capsys, tmp_path):
+        # a pinball OCE under a linear penalty of slope 2 decreases without
+        # bound in m off an empirical support; confined to the support, its
+        # minimum is the library's restricted solve
+        from wassrisk import CostExponent, Empirical, LinearPenalty, Pinball, SearchOptions, robust_oce
+
+        path = tmp_path / "four.csv"
+        path.write_text("1\n2\n3\n7.5\n")
+        args = (
+            "measure", "oce", "--loss", "pinball", "--penalty", "linear",
+            "--delta", "2", "--alpha", "0.3", "--samples", str(path),
+        )
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == ""
+        assert "objective keeps decreasing toward -inf on the left" in err
+        code, out, _ = run(capsys, *args, "--restrict-support")
+        assert code == 0
+        assert out.strip() == "1.712500000000"
+        d = Empirical.uniform([1.0, 2.0, 3.0, 7.5])
+        restricted = robust_oce(
+            d, Pinball(0.3), CostExponent(1.0), LinearPenalty(2.0), SearchOptions(restrict_to_support=True)
+        )
+        assert out.strip() == f"{restricted.value:.12f}"
+
 
 class TestSweep:
     def test_csv_shape_and_trends(self, capsys, tmp_path):

@@ -32,6 +32,43 @@ class TestConstruction:
         assert d.values.tolist() == [1.0, 2.0]
         assert d.weights.tolist() == [0.25, 0.75]
 
+    def test_tie_merge_equals_the_loop(self, rng):
+        # reference: the merge as a loop over the stably sorted atoms, each
+        # run keeping its first value and summing its weights in order
+        def merged_by_loop(points):
+            values = np.array([float(v) for v, _ in points])
+            weights = np.array([float(w) for _, w in points])
+            weights = weights / float(weights.sum())
+            order = np.argsort(values, kind="stable")
+            keep_v, keep_w = [], []
+            for v, w in zip(values[order], weights[order]):
+                if keep_v and v == keep_v[-1]:
+                    keep_w[-1] += w
+                else:
+                    keep_v.append(float(v))
+                    keep_w.append(float(w))
+            return keep_v, keep_w
+
+        cases = [
+            ((0.0, 0.25), (-0.0, 0.25), (1.0, 0.5)),
+            ((-0.0, 0.25), (0.0, 0.25), (1.0, 0.5)),
+            ((3.0, 1.0),),
+        ]
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            values = rng.integers(-4, 5, n) * 0.5
+            values[rng.random(n) < 0.2] = -0.0
+            w = rng.dirichlet(np.ones(n))
+            cases.append(tuple(zip(values.tolist(), w.tolist())))
+        for points in cases:
+            d = Empirical(points)
+            keep_v, keep_w = merged_by_loop(points)
+            assert [float(v).hex() for v in d.values] == [v.hex() for v in keep_v]
+            assert [float(w).hex() for w in d.weights] == [w.hex() for w in keep_w]
+            assert d.points == tuple(zip(keep_v, keep_w))
+        assert math.copysign(1.0, Empirical(cases[0]).values[0]) == 1.0
+        assert math.copysign(1.0, Empirical(cases[1]).values[0]) == -1.0
+
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError):
             Empirical(((0.0, 0.5), (1.0, 0.6)))

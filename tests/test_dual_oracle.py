@@ -13,6 +13,8 @@ from wassrisk import (
     wasserstein_1d,
 )
 
+from wassrisk.dual_oracle import _threshold_extreme
+
 from conftest import random_empirical
 
 P1 = CostExponent(1.0)
@@ -172,6 +174,32 @@ class TestThresholdGreedy:
         band = DensityBand.from_expectile_level(0.8, 1.0)
         merged = Empirical(((1.0, 0.5), (3.0, 0.5)))
         assert dual_expectile_max(tied, band) == dual_expectile_max(merged, band)
+
+
+def _threshold_extreme_loop(x, p, rho):
+    """Reference: the scan over the n + 1 splits written as a Python loop."""
+    cw = np.concatenate(([0.0], np.cumsum(p)))
+    cwx = np.concatenate(([0.0], np.cumsum(p * x)))
+    total_x = cwx[-1]
+    best = -np.inf
+    for k in range(len(x) + 1):
+        low_w, low_x = cw[k], cwx[k]
+        high_w, high_x = 1.0 - low_w, total_x - low_x
+        denom = low_w + rho * high_w
+        val = (low_x + rho * high_x) / denom
+        if val > best:
+            best = val
+    return float(best)
+
+
+def test_threshold_extreme_equals_the_split_loop(rng):
+    # the array form performs the loop's per-split operations elementwise
+    cases = [Empirical(((2.5, 1.0),))] + [random_empirical(rng, max_atoms=300) for _ in range(200)]
+    for d in cases:
+        x, p = d.values, d.weights
+        for rho in (1.0, float(rng.uniform(1.0, 3.0)), float(rng.uniform(3.0, 50.0))):
+            assert _threshold_extreme(x, p, rho) == _threshold_extreme_loop(x, p, rho)
+            assert _threshold_extreme(-x[::-1], p[::-1], rho) == _threshold_extreme_loop(-x[::-1], p[::-1], rho)
 
 
 class TestWasserstein1d:

@@ -34,7 +34,7 @@ from wassrisk import (
 
 from wassrisk import robust_core
 from wassrisk.robust_core import _functional_detail
-from wassrisk.solvers import golden_section_min
+from wassrisk.solvers import MAX_DOUBLINGS, golden_section_min
 
 from conftest import coupled_arrays, emp, random_empirical
 
@@ -172,7 +172,7 @@ def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
     if math.isinf(lam_cap):
         hi = lam_lo + 1.0
         f_hi = objective(hi)
-        for _ in range(robust_core.MAX_DOUBLINGS):
+        for _ in range(MAX_DOUBLINGS):
             nxt = hi * 2.0
             f_nxt = objective(nxt)
             if f_nxt >= f_hi:
@@ -181,11 +181,9 @@ def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
             hi, f_hi = nxt, f_nxt
     else:
         hi = lam_cap
-    lam_star, value, _ = golden_section_min(
-        objective, lam_lo, hi, tol=opt.lambda_tol, max_iter=robust_core.MAX_ITER
-    )
-    boundary = (lam_star - lam_lo) <= 10.0 * opt.lambda_tol or (
-        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.lambda_tol
+    lam_star, value, _ = golden_section_min(objective, lam_lo, hi, tol=opt.tol)
+    boundary = (lam_star - lam_lo) <= 10.0 * opt.tol or (
+        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.tol
     )
     return value, lam_star, boundary
 

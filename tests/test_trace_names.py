@@ -8,6 +8,11 @@ lists in LAYERS.  The file is parsed, not imported.  Two kinds of string are
 not function names: the keys of dict literals (metric names such as
 "solvers.outer_evals_per_op") and "distributions.construct", the key of the
 wrapped prior constructors.
+
+The tracer also gives every objective a public solver evaluates a role,
+looked up in its TOP_LEVEL_ROLE by the solver's name (increasing_root's
+evaluations are always "root"), so each public function of wassrisk.solvers
+must have an entry there.
 """
 
 from __future__ import annotations
@@ -23,14 +28,23 @@ NAME = re.compile(r"^([a-z_]+)\.([A-Za-z_][A-Za-z0-9_]*)$")
 NOT_FUNCTIONS = {"distributions.construct"}
 
 
-def traced_names() -> set[str]:
+def _tracing_tree() -> ast.Module:
     with open(TRACING) as handle:
-        tree = ast.parse(handle.read())
-    layers = next(
+        return ast.parse(handle.read())
+
+
+def _constant(tree: ast.Module, name: str):
+    """The literal value assigned to a module-level name of tracing.py."""
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]
     )
+
+
+def traced_names() -> set[str]:
+    tree = _tracing_tree()
+    layers = _constant(tree, "LAYERS")
     dict_keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
     return {
         node.value
@@ -55,3 +69,16 @@ def test_traced_names_are_package_functions():
         if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
             missing.append(name)
     assert not missing, f"perfbench/tracing.py counts functions that do not exist: {missing}"
+
+
+def test_every_public_solver_has_a_role():
+    roles = _constant(_tracing_tree(), "TOP_LEVEL_ROLE")
+    solvers = importlib.import_module("wassrisk.solvers")
+    public = {
+        name
+        for name, fn in vars(solvers).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == solvers.__name__
+    }
+    assert "golden_section_min" in public
+    missing = sorted(public - {"increasing_root"} - set(roles))
+    assert not missing, f"perfbench/tracing.py TOP_LEVEL_ROLE lacks public solvers: {missing}"
