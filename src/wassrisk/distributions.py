@@ -226,6 +226,19 @@ class Normal(_Parametric):
         return self.mean, self.stddev
 
 
+def _exp_head_series(t: float, power: int) -> float:
+    """int_0^t (t - u)^power e^(-u) du = power! * sum_{k > power} (-1)^(k -
+    power - 1) t^k / k!, summed until a term no longer moves the total;
+    alternating with shrinking terms for t < 1."""
+    term = total = t ** (power + 1) / (power + 1)
+    k = power + 1
+    while abs(term) > 1e-17 * total:
+        k += 1
+        term *= -t / k
+        total += term
+    return total
+
+
 @dataclass(frozen=True)
 class Exponential(_Parametric):
     rate: float
@@ -249,7 +262,11 @@ class Exponential(_Parametric):
         if m <= 0.0:
             return 0.0
         mu = 1.0 / self.rate
-        e = math.exp(-self.rate * m)
+        t = self.rate * m
+        if t < 0.5:
+            # the closed forms below cancel to rounding noise as t -> 0
+            return mu**power * _exp_head_series(t, power)
+        e = math.exp(-t)
         if power == 1:
             return max(m - mu + e * mu, 0.0)
         return max(mu * mu + (mu - m) * (mu - m) - 2.0 * e * mu * mu, 0.0)

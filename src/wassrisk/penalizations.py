@@ -8,10 +8,11 @@ lower semicontinuous with phi(0) = 0.  Its conjugate
 is computed in closed form per family; exactness matters because the dual
 minimizer often sits on the conjugate's domain boundary.  Each family class
 carries its value phi(x), its conjugate, `conjugate_domain_end()` (the
-supremum of the set where phi* is finite) and `conjugate_vanishes` (phi* is
-zero on that whole set, so the dual infimum sits at its end without a
-search); the module functions `evaluate` and `conjugate` validate their
-argument and dispatch to the class.
+supremum of the set where phi* is finite), `conjugate_pieces()` (the linear
+pieces of phi* on that set, as (lambda-start, lambda-end, slope)) and
+`conjugate_vanishes` (phi* is zero on that whole set, so the dual infimum
+sits at its end without a search); the module functions `evaluate` and
+`conjugate` validate their argument and dispatch to the class.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class LinearPenalty:
     def conjugate_domain_end(self) -> float:
         return self.delta
 
+    def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
+        return ((0.0, self.delta, 0.0),)
+
     conjugate_vanishes = True
 
 
@@ -67,6 +71,9 @@ class BallPenalty:
 
     def conjugate_domain_end(self) -> float:
         return INF
+
+    def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
+        return ((0.0, INF, self.delta),)
 
     @property
     def conjugate_vanishes(self) -> bool:
@@ -128,6 +135,11 @@ class PiecewiseLinearPenalty:
 
     def conjugate_domain_end(self) -> float:
         return self.breakpoints[-1][1]
+
+    def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
+        # on [s_{k-1}, s_k] the supremum sits at knot x_k, with s_{-1} = 0
+        starts = (0.0,) + tuple(s for _, s in self.breakpoints[:-1])
+        return tuple((lo, s, x) for lo, (x, s) in zip(starts, self.breakpoints))
 
     # a single knot makes phi linear, but that case keeps the lambda search;
     # LinearPenalty is its exact path

@@ -11,13 +11,14 @@ which also equals the classical expectile at the adjusted level A/(A+B); the
 implementation solves the FOC and the identity is kept as a test property.
 The ball-penalty robust expectile minimizes the dual objective in lambda
 after profiling out m, whose inner minimizer is again an expectile at a
-lambda-dependent level; the minimization is the dual's own lambda search,
-`robust_core._lambda_search`.
+lambda-dependent level; by the envelope theorem the profiled slope is the
+dual's slope at that expectile, and its root is the minimizer.  Only when
+the slope is already nonnegative next to the switching level does the dual's
+own lambda search, `robust_core._lambda_search`, run over the sliver below.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,8 +33,6 @@ from .losses import CostExponent, LossSpec, _check_alpha, quad_transform_coeffic
 from .penalizations import Penalization
 from .robust_core import RobustValue, SearchOptions, _lambda_search, _solve_outer
 from .solvers import increasing_root
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -117,28 +116,43 @@ def _ball_stats(
     d: PriorDistribution, alpha: float, delta2: float, options: Optional[SearchOptions] = None
 ) -> tuple[float, float, int]:
     """(robust expectile, minimizing lambda, inner-solve count) for the ball
-    penalty; delta2 must be positive here."""
+    penalty; delta2 must be positive here.
+
+    The profiled objective g(lam) = A*E[((X-m)^+)^2] + B*E[((X-m)^-)^2] +
+    delta2*lam at its inner minimizer m(lam) is convex, and by the envelope
+    theorem its slope is the partial derivative in lam with m held at m(lam),
+    so the minimizer is the root of that slope.  The root is bracketed from
+    thr*(1 + 1e-3), not from thr: next to thr, m(lam) sits on the prior's top
+    or bottom atom and the partial moment there, below its own rounding
+    error, would be divided by (lam - thr)^2.  A slope already nonnegative
+    there leaves the lambda search over the sliver below."""
     opt = options or SearchOptions()
-    thr = max(alpha, 1.0 - alpha)
-    lam_lo = thr + 1e-8
-    evals = [0]
+    a, b = alpha, 1.0 - alpha
+    thr = max(a, b)
+    ms: dict[float, float] = {}
 
     def inner_m(lam: float) -> float:
-        evals[0] += 1
-        tau = adjusted_level(alpha, lam)
-        return _asymmetric_root(d, tau, 1.0 - tau)
+        if lam not in ms:
+            tau = adjusted_level(alpha, lam)
+            ms[lam] = _asymmetric_root(d, tau, 1.0 - tau)
+        return ms[lam]
 
     def g_value(lam: float) -> float:
         m = inner_m(lam)
-        big_a, big_b = quad_transform_coefficients(alpha, 1.0 - alpha, lam)  # type: ignore[misc]
-        return (
-            big_a * partial_moment_plus(d, m, 2)
-            + big_b * partial_moment_minus(d, m, 2)
-            + delta2 * lam
-        )
+        big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
+        return big_a * partial_moment_plus(d, m, 2) + big_b * partial_moment_minus(d, m, 2) + delta2 * lam
 
-    _, lam_star, _ = _lambda_search(g_value, lam_lo, INF, opt)
-    return inner_m(lam_star), lam_star, evals[0]
+    def g_slope(lam: float) -> float:
+        m = inner_m(lam)
+        plus, minus = partial_moment_plus(d, m, 2), partial_moment_minus(d, m, 2)
+        return delta2 - a * a * plus / (lam - a) ** 2 - b * b * minus / (lam - b) ** 2
+
+    lam_lo = thr * (1.0 + 1e-3)
+    if g_slope(lam_lo) < 0.0:
+        lam_star = increasing_root(g_slope, lam_lo, 2.0 * lam_lo)
+    else:
+        _, lam_star, _ = _lambda_search(g_value, thr + 1e-8, lam_lo, opt)
+    return inner_m(lam_star), lam_star, len(ms)
 
 
 def robust_expectile_ball(

@@ -19,13 +19,15 @@ Analytic shortcuts cover the common penalty/loss pairs:
   limit of a zero radius, where only the baseline law is admissible and the
   functional collapses to the classical expectation.
 
-Everything else runs one lambda search (`_lambda_search`): a golden section
-over the feasible lambda range, bracketed by doubling when the range has no
-end.  The ball-penalty robust expectile runs the same search on its profiled
-objective.  The search's bracket tolerance is `SearchOptions.tol`; its
-budgets are the `solvers` constants.
-A closed form's transform is A*(x^+)^p + B*(x^-)^p, so the prior enters only
-through its partial moments at m; for p = 2 they are taken once per search.
+The quadratic family with p = 2 under a ball or piecewise penalty solves the
+first-order condition exactly (`_quadratic_argmin`): the prior enters only
+through its second partial moments at m, taken once, and the dual's slope on
+each linear piece of phi* is that piece's slope minus a decreasing function
+of lam, so the minimizer is a piece's left end or a root inside one piece.
+Everything else (custom losses, mismatched exponents) runs one lambda search
+(`_lambda_search`): a golden section over the feasible lambda range,
+bracketed by doubling when the range has no end.  The search's bracket
+tolerance is `SearchOptions.tol`; its budgets are the `solvers` constants.
 Losses without a closed form take the transform of every atom numerically.
 """
 
@@ -58,6 +60,7 @@ from .solvers import (
     FLAT_VALUE_TOL,
     INTERVAL_RESOLUTION,
     MAX_DOUBLINGS,
+    MAX_ITER,
     expand_bracket,
     flat_minimum_edges,
     golden_section_min,
@@ -67,6 +70,8 @@ INF = math.inf
 
 # the largest slope the convergence certificate accepts outside the argmin
 FOC_TOL = 1e-5
+# a Newton step this small relative to lambda ends the exact lambda solve
+_NEWTON_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -170,10 +175,14 @@ def _lambda_search(
         raise Infeasible("dual objective is +inf on the whole feasible range")
     if hit_cap:
         raise NoConvergence("lambda search exceeded the iteration budget")
-    boundary = (lam_star - lam_lo) <= 10.0 * opt.tol or (
-        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.tol
+    return value, lam_star, _on_boundary(lam_star, lam_lo, lam_cap, opt)
+
+
+def _on_boundary(lam: float, lam_lo: float, lam_cap: float, opt: SearchOptions) -> bool:
+    """Whether lam lies within 10 * tol of lam_lo or of a finite lam_cap."""
+    return (lam - lam_lo) <= 10.0 * opt.tol or (
+        not math.isinf(lam_cap) and (lam_cap - lam) <= 10.0 * opt.tol
     )
-    return value, lam_star, boundary
 
 
 def _functional_detail(
@@ -226,23 +235,75 @@ def _functional_detail(
 
     if form is not None:
         # p = 2: the prior enters the transform only through its second
-        # partial moments at m, so take them once for the whole search; every
-        # lambda searched lies above max(a, b), where both transform
-        # coefficients are finite (the same sum expected_transform forms)
+        # partial moments at m, taken once; every lambda considered lies
+        # above max(a, b), where both transform coefficients are finite
         a, b = form
         plus = partial_moment_plus(d, m, 2)
         minus = partial_moment_minus(d, m, 2)
+        if not math.isfinite(a * plus + b * minus):
+            raise Infeasible("dual objective is +inf on the whole feasible range")
+        lam_star = _quadratic_argmin(a, b, plus, minus, phi, lam_lo, lam_cap)
+        big_a, big_b = quad_transform_coefficients(a, b, lam_star)  # type: ignore[misc]
+        value = big_a * plus + big_b * minus + conjugate(phi, lam_star)
+        return value, lam_star, _on_boundary(lam_star, lam_lo, lam_cap, opt)
 
-        def objective(lam: float) -> float:
-            big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
-            return big_a * plus + big_b * minus + conjugate(phi, lam)
-
-    else:
-
-        def objective(lam: float) -> float:
-            return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
+    def objective(lam: float) -> float:
+        return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
 
     return _lambda_search(objective, lam_lo, lam_cap, opt)
+
+
+def _quadratic_argmin(
+    a: float, b: float, plus: float, minus: float, phi: Penalization, lam_lo: float, lam_cap: float
+) -> float:
+    """Minimizer over [lam_lo, lam_cap] of the p = 2 closed-form dual
+    a*plus + b*minus + a^2*plus/(lam - a) + b^2*minus/(lam - b) + phi*(lam).
+
+    On a linear piece of phi* with slope s its derivative is s - G(lam), with
+    G(lam) = a^2*plus/(lam - a)^2 + b^2*minus/(lam - b)^2 decreasing, so the
+    minimizer is the first lambda where s - G turns nonnegative: the left end
+    of the first piece where it already is there (lam_lo or a kink of phi*),
+    else the root of G = s inside the piece where it turns, or lam_cap when
+    it never does."""
+
+    def g(lam: float) -> float:
+        da, db = lam - a, lam - b
+        return a * a * plus / (da * da) + b * b * minus / (db * db)
+
+    for start, end, slope in phi.conjugate_pieces():
+        left, right = max(start, lam_lo), min(end, lam_cap)
+        if right < left or slope < g(right):
+            continue
+        if slope >= g(left):
+            return left
+        return _quadratic_root(a, b, plus, minus, slope, left)
+    return lam_cap
+
+
+def _quadratic_root(a: float, b: float, plus: float, minus: float, slope: float, lam: float) -> float:
+    """The lambda above lam with G(lambda) = slope > 0, for G(lam) > slope.
+
+    With ra = a*sqrt(plus/slope) and rb = b*sqrt(minus/slope) the condition
+    reads (ra/(lambda - a))^2 + (rb/(lambda - b))^2 = 1, whose terms stay
+    near 1 whatever the scale of lambda.  Equal coefficients solve it in
+    closed form.  Otherwise Newton runs from the larger of lam, a + ra and
+    b + rb, each a lower bound on the root; the left side is convex and
+    decreasing, so the iterates rise to the root without passing it."""
+    ra, rb = a * math.sqrt(plus / slope), b * math.sqrt(minus / slope)
+    if a == b:
+        return a + math.hypot(ra, rb)
+    lam = max(lam, a + ra, b + rb)
+    for _ in range(MAX_ITER):
+        da, db = lam - a, lam - b
+        ta, tb = (ra / da) ** 2, (rb / db) ** 2
+        excess = ta + tb - 1.0
+        if excess <= 0.0:
+            return lam
+        step = excess / (2.0 * (ta / da + tb / db))
+        if step <= _NEWTON_RTOL * lam:
+            return lam + step
+        lam += step
+    raise NoConvergence(f"Newton solve of the lambda condition G = {slope!r} did not settle")
 
 
 def robust_functional(

@@ -111,6 +111,24 @@ class TestPartialMomentExamples:
     def test_exponential_no_mass_below_zero(self):
         assert partial_moment_minus(Exponential(1), 0.0, 1) == 0.0
 
+    def test_exponential_lower_tail_near_zero_matches_quadrature(self):
+        # mu^2 + (mu - m)^2 - 2 e^(-rate m) mu^2 cancels to rounding noise
+        # for small m (it read 0 at m = 1e-5 at rate 0.515)
+        for rate in (0.3, 0.5151645526357527, 1.0, 3.0):
+            d = Exponential(rate)
+            for m in np.geomspace(1e-8, 3.0 / rate, 60):
+                m = float(m)
+                for power in (1, 2):
+                    ref, _ = quad(
+                        lambda x: (m - x) ** power * rate * math.exp(-rate * x),
+                        0.0,
+                        m,
+                        epsabs=0.0,
+                        epsrel=1e-13,
+                    )
+                    got = partial_moment_minus(d, m, power)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (rate, m, power)
+
     def test_power_validated(self):
         with pytest.raises(ValueError):
             partial_moment_plus(FAIR_COIN, 0.0, 3)

@@ -33,6 +33,19 @@ class TestConjugates:
             assert conjugate(PWL, lam) == pytest.approx(ref, abs=1e-9)
         assert conjugate(PWL, 4.0 + 1e-9) == math.inf
 
+    def test_pieces_tile_the_domain_with_the_conjugate_slopes(self):
+        for phi in (LinearPenalty(2.0), BallPenalty(0.3), PWL, PiecewiseLinearPenalty(((0.0, 1.5),))):
+            pieces = phi.conjugate_pieces()
+            assert pieces[0][0] == 0.0
+            assert pieces[-1][1] == phi.conjugate_domain_end()
+            assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces[:-1], pieces[1:]))
+            for lo, hi, slope in pieces:
+                top = min(hi, lo + 1.0)
+                for u, v in ((lo, top), (lo, 0.5 * (lo + top)), (0.5 * (lo + top), top)):
+                    if v > u:
+                        rise = conjugate(phi, v) - conjugate(phi, u)
+                        assert rise == pytest.approx(slope * (v - u), abs=1e-12)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             conjugate(LinearPenalty(1.0), -0.5)

@@ -249,6 +249,31 @@ class TestRobustExpectileBall:
         for radius in (0.0, 0.3, 2.0):
             assert robust_expectile_ball(pm, 0.8, radius) == pytest.approx(1.7, abs=1e-9)
 
+    def test_far_prior_equals_the_recentred_solve(self):
+        # the prior with atoms near 1e6 of the output parity data: the
+        # envelope root keeps its answer to the recentred one plus the shift
+        far = [1e6 + 0.37 * k * k - 3.1 * k for k in range(30)]
+        weights = [(k + 1) / 465.0 for k in range(30)]
+        near = Empirical(tuple(zip([x - 1e6 for x in far], weights)))
+        got = robust_expectile_ball(Empirical(tuple(zip(far, weights))), 0.25, 0.6)
+        assert got == pytest.approx(robust_expectile_ball(near, 0.25, 0.6) + 1e6, abs=1e-6)
+
+    def test_inner_solves_are_not_repeated(self, monkeypatch):
+        # every inner expectile solve is at a distinct lambda, and the one at
+        # lambda* is read back rather than solved again
+        from wassrisk import risk_measures
+
+        levels = []
+        root = risk_measures._asymmetric_root
+        monkeypatch.setattr(
+            risk_measures, "_asymmetric_root", lambda d, a, b: levels.append(a) or root(d, a, b)
+        )
+        for d, alpha, radius in ((Normal(0, 1), 0.75, 0.5), (THREE, 0.2, 0.1), (Exponential(1.0), 0.1, 2.0)):
+            levels.clear()
+            got, _, count = risk_measures._ball_stats(d, alpha, radius)
+            assert count == len(levels) == len(set(levels)) < 40
+            assert got == robust_expectile_ball(d, alpha, radius)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             robust_expectile_ball(FAIR_COIN, 0.7, -0.1)

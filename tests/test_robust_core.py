@@ -191,9 +191,25 @@ def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
 SEARCHED_PENALTIES = [BallPenalty(0.4), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
 
 
+def _subgradient_gap(phi, a, b, plus, minus, lam, lam_lo, lam_cap):
+    """How far G(lam) = a^2*plus/(lam - a)^2 + b^2*minus/(lam - b)^2 lies
+    outside [left slope, right slope] of phi* at lam, relative to max(1, G);
+    at lam_lo only the right slope binds and at lam_cap only the left one."""
+    g = a * a * plus / (lam - a) ** 2 + b * b * minus / (lam - b) ** 2
+    pieces = phi.conjugate_pieces()
+    left = next((s for lo, hi, s in pieces if lo < lam <= hi), -math.inf)
+    right = next((s for lo, hi, s in pieces if lo <= lam < hi), math.inf)
+    if lam == lam_lo:
+        left = -math.inf
+    if lam == lam_cap:
+        right = math.inf
+    return max(left - g, g - right, 0.0) / max(1.0, g)
+
+
 class TestQuadraticDualSearch:
-    """The quadratic lambda search takes the prior's partial moments at m once
-    and must give exactly what evaluating the prior at every lambda gives."""
+    """The quadratic lambda solve takes the prior's partial moments at m once
+    and solves the first-order condition exactly; the golden section through
+    expected_transform (_reference_detail) is its oracle."""
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
     def test_partial_moments_taken_once_per_search(self, monkeypatch, phi):
@@ -214,10 +230,12 @@ class TestQuadraticDualSearch:
         )
         monkeypatch.setattr(robust_core, "conjugate", counting("lambda", robust_core.conjugate))
         d = Normal(0.3, 1.2)
-        value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, 0.1, SearchOptions())
-        assert math.isfinite(value)
-        assert calls["lambda"] > 30  # one conjugate per lambda visited
-        assert calls["plus"] == calls["minus"] == 1
+        for m in (-2.0, 0.1, 3.0):
+            calls.update({"plus": 0, "minus": 0, "lambda": 0})
+            value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m, SearchOptions())
+            assert math.isfinite(value)
+            assert calls["plus"] == calls["minus"] == 1
+            assert calls["lambda"] <= len(phi.conjugate_pieces()) + 2
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
     def test_equals_the_search_through_expected_transform(self, rng, phi):
@@ -230,17 +248,67 @@ class TestQuadraticDualSearch:
             random_empirical(rng, max_atoms=40),
             far,
         ]
+        lam_cap = phi.conjugate_domain_end()
+        interior = 0
         for d in priors:
             center, span = d.center_and_span()
-            for alpha in (0.3, 0.8):
+            for alpha in (0.3, 0.5, 0.8):
                 loss = AsymQuadratic(alpha)
+                a, b = loss.closed_form(2.0)
+                lam_lo = max(a, b) + 1e-8
                 for m in center + span * np.array([-2.5, -0.7, 0.0, 0.4, 3.0]):
                     m = float(m)
-                    got = _functional_detail(d, loss, P2, phi, m, SearchOptions())
-                    assert got == _reference_detail(d, loss, P2, phi, m), (d, alpha, m)
+                    value, lam, _ = _functional_detail(d, loss, P2, phi, m, SearchOptions())
+                    golden, _, _ = _reference_detail(d, loss, P2, phi, m)
+                    scale = max(1.0, abs(value))
+                    assert -1e-12 * scale <= golden - value <= 1e-10 * scale, (d, alpha, m)
+                    plus, minus = d.upper_partial_moment(m, 2), d.lower_partial_moment(m, 2)
+                    gap = _subgradient_gap(phi, a, b, plus, minus, lam, lam_lo, lam_cap)
+                    assert gap <= 1e-9, (d, alpha, m, lam, gap)
+                    kinks = [lo for lo, _, _ in phi.conjugate_pieces()]
+                    interior += lam not in (lam_lo, lam_cap, *kinks)
+        assert interior > 0  # the Newton and equal-coefficient roots ran
+
+    def test_tiny_radius_gives_the_classical_expectation(self):
+        # lambda* near 5e149: the root's terms are scaled to stay near 1
+        d, loss = Normal(0.0, 1.0), AsymQuadratic(0.3)
+        value, lam, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0, SearchOptions())
+        assert lam > 1e149
+        assert value == pytest.approx(robust_core.expected_loss(d, loss, 0.0), rel=1e-12)
+
+    def test_lambda_lands_on_kinks_and_both_ends(self):
+        """Moving m across one prior puts lambda* at lam_lo (no mass on the
+        side of the larger coefficient), inside a piece, at a kink of phi*
+        and at the cap."""
+        phi = SEARCHED_PENALTIES[1]
+        loss = AsymQuadratic(0.7)
+        d = Empirical.uniform([-0.5, -0.1, 0.2, 0.5])
+        seen = set()
+        for m in np.linspace(-15.0, 3.0, 181):
+            value, lam, _ = _functional_detail(d, loss, P2, phi, float(m), SearchOptions())
+            seen.add(lam if lam in (0.7 + 1e-8, 2.0, 5.0) else "root")
+            golden, _, _ = _reference_detail(d, loss, P2, phi, float(m))
+            scale = max(1.0, abs(value))
+            assert -1e-12 * scale <= golden - value <= 1e-10 * scale, m
+        assert seen == {0.7 + 1e-8, 2.0, 5.0, "root"}
 
 
 class TestRobustOce:
+    def test_piecewise_on_exponential_next_to_zero_converges(self):
+        # an argmin a few 1e-6 above 0: the exponential's lower partial
+        # moments there once cancelled to 0 and left a spurious flat bottom
+        # that failed the convergence certificate
+        d = Exponential(0.5151645526357527)
+        loss = AsymQuadratic(0.1952991100235209)
+        phi = PiecewiseLinearPenalty(
+            ((0.0, 0.06997142631914813), (0.7295589648956822, 0.3835259169680626), (1.8926423862655002, 2.3500994505418107))
+        )
+        rv = robust_oce(d, loss, P2, phi)
+        assert rv.converged
+        grid = np.arange(-50, 201) * 1e-6
+        best = min(float(m) + robust_functional(d, loss, P2, phi, float(m)) for m in grid)
+        assert rv.value == pytest.approx(best, abs=1e-9)
+
     def test_constant_zero_with_shifted_plus_loss(self):
         # l(x) = 1 + x^+ does not preserve constants: the value at the zero
         # position is 1, not 0

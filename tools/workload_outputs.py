@@ -1,7 +1,7 @@
 """Compare or check the outputs of the benchmark workloads, untimed.
 
     python tools/workload_outputs.py diff BASE CHANGE --seeds 1 2
-    python tools/workload_outputs.py scan TREE --ops 15000 --seeds 1-16
+    python tools/workload_outputs.py scan TREE --ops 40000 --seeds 1-16
 
 BASE, CHANGE and TREE are checkouts of this repository; `--seeds` takes
 seeds (`1 2`) or ranges (`1-16`).  Each run imports the tree's `src/wassrisk`
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     d.add_argument("--seeds", nargs="+", default=["1"])
     s = sub.add_parser("scan", help="run operations with their oracle checks and list the failures")
     s.add_argument("tree")
-    s.add_argument("--ops", type=int, default=15000)
+    s.add_argument("--ops", type=int, default=40000)
     s.add_argument("--seeds", nargs="+", default=["1"])
     args = ap.parse_args(argv)
     return diff(args) if args.command == "diff" else scan(args)
