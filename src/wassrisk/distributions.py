@@ -69,8 +69,12 @@ class Empirical:
         cw = np.cumsum(w)
         cw[-1] = 1.0
         object.__setattr__(self, "_cw", cw)
-        object.__setattr__(self, "_cwx", np.cumsum(w * x))
-        object.__setattr__(self, "_cwx2", np.cumsum(w * x * x))
+        # partial moments expand about the nearest atom on their side, from
+        # sums over the gaps between atoms: no term cancels, at any location
+        dx = np.diff(x)
+        cv = np.cumsum(w[::-1])[::-1]
+        object.__setattr__(self, "_head", (cw, *_gap_sums(cw, dx)))
+        object.__setattr__(self, "_tail", (cv, *(s[::-1] for s in _gap_sums(cv[::-1], dx[::-1]))))
 
     @classmethod
     def uniform(cls, values: Iterable[float]) -> "Empirical":
@@ -102,25 +106,16 @@ class Empirical:
         return Empirical(tuple((-v, w) for v, w in self.points))
 
     def upper_partial_moment(self, m: float, power: int) -> float:
-        cw, cwx, cwx2 = self._cw, self._cwx, self._cwx2  # type: ignore[attr-defined]
         i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
-        w_tail = 1.0 - (float(cw[i - 1]) if i > 0 else 0.0)
-        wx_tail = float(cwx[-1]) - (float(cwx[i - 1]) if i > 0 else 0.0)
-        if power == 1:
-            return max(wx_tail - m * w_tail, 0.0)
-        wx2_tail = float(cwx2[-1]) - (float(cwx2[i - 1]) if i > 0 else 0.0)
-        return max(wx2_tail - 2.0 * m * wx_tail + m * m * w_tail, 0.0)
+        if i == len(self._x):  # type: ignore[attr-defined]
+            return 0.0
+        return _about_atom(self._tail, i, float(self._x[i]) - m, power)  # type: ignore[attr-defined]
 
     def lower_partial_moment(self, m: float, power: int) -> float:
-        cw, cwx, cwx2 = self._cw, self._cwx, self._cwx2  # type: ignore[attr-defined]
-        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
-        if i == 0:
+        i = int(np.searchsorted(self._x, m, side="right")) - 1  # type: ignore[attr-defined]
+        if i < 0:
             return 0.0
-        w_head, wx_head = float(cw[i - 1]), float(cwx[i - 1])
-        if power == 1:
-            return max(m * w_head - wx_head, 0.0)
-        wx2_head = float(cwx2[i - 1])
-        return max(m * m * w_head - 2.0 * m * wx_head + wx2_head, 0.0)
+        return _about_atom(self._head, i, m - float(self._x[i]), power)  # type: ignore[attr-defined]
 
     def expected_value(self) -> float:
         return float(np.dot(self._x, self._w))  # type: ignore[attr-defined]
@@ -160,6 +155,24 @@ class Empirical:
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) that sums over atoms use for this law."""
         return self._x, self._w  # type: ignore[attr-defined]
+
+
+def _gap_sums(cw: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S1, S2) with S1_j = sum_{i <= j} w_i (x_j - x_i) and S2_j the same
+    with squares, from cw_j = sum_{i <= j} w_i and the gaps dx_j = x_{j+1} -
+    x_j.  Each grows from the last by nonnegative terms, so neither cancels."""
+    s1 = np.concatenate(([0.0], np.cumsum(cw[:-1] * dx)))
+    s2 = np.concatenate(([0.0], np.cumsum(dx * (2.0 * s1[:-1] + dx * cw[:-1]))))
+    return s1, s2
+
+
+def _about_atom(sums: tuple[np.ndarray, ...], i: int, t: float, power: int) -> float:
+    """sum w (r + t)^power over the atoms on one side of atom i, r >= 0 their
+    distance to it, from that side's (cw, S1, S2) and t >= 0."""
+    cw, s1, s2 = sums
+    if power == 1:
+        return float(s1[i]) + t * float(cw[i])
+    return float(s2[i]) + t * (2.0 * float(s1[i]) + t * float(cw[i]))
 
 
 class _Parametric:
@@ -362,16 +375,11 @@ def _t_pdf(z: float, dof: float) -> float:
     return math.exp(_t_log_norm(dof) - 0.5 * (dof + 1.0) * math.log1p(z * z / dof))
 
 
-def _t_sf(z: float, dof: float) -> float:
-    # survival through the regularized incomplete beta, avoiding the slow
-    # scalar distribution framework on this hot path
-    half = 0.5 * float(special.betainc(0.5 * dof, 0.5, dof / (dof + z * z)))
-    return half if z >= 0.0 else 1.0 - half
-
-
 def _t_tail_integrals(z: float, dof: float) -> tuple[float, float]:
     """(int_z^inf f, int_z^inf x f) for the standard t density with `dof`."""
-    i1 = _t_sf(z, dof)
+    # stdtr is exact near z = 0, where an incomplete beta at dof/(dof + z^2)
+    # rounds 1 - x and loses up to 4e-9
+    i1 = float(special.stdtr(dof, -z))
     i2 = _t_pdf(z, dof) * (dof + z * z) / (dof - 1.0)
     return i1, i2
 
@@ -387,9 +395,8 @@ def _t_plus(z: float, dof: float, power: int) -> float:
     i1, i2 = _t_tail_integrals(z, dof)
     # int_z^inf x^2 f: x^2 = dof*(1 + x^2/dof) - dof folds the integrand back
     # onto the t kernels with dof and dof-2 degrees of freedom.
-    i3 = dof * (dof - 1.0) / (dof - 2.0) * _t_sf(
-        z * math.sqrt((dof - 2.0) / dof), dof - 2.0
-    ) - dof * i1
+    i3 = dof * (dof - 1.0) / (dof - 2.0) * float(special.stdtr(dof - 2.0, -z * math.sqrt((dof - 2.0) / dof)))
+    i3 -= dof * i1
     return max(i3 - 2.0 * z * i2 + z * z * i1, 0.0)
 
 

@@ -9,12 +9,10 @@ condition
 
 which also equals the classical expectile at the adjusted level A/(A+B); the
 implementation solves the FOC and the identity is kept as a test property.
-The ball-penalty robust expectile minimizes the dual objective in lambda
-after profiling out m, whose inner minimizer is again an expectile at a
-lambda-dependent level; by the envelope theorem the profiled slope is the
-dual's slope at that expectile, and its root is the minimizer.  Only when
-the slope is already nonnegative next to the switching level does the dual's
-own lambda search, `robust_core._lambda_search`, run over the sliver below.
+The ball-penalty robust expectile is the argmin over m of the ball robust
+functional with the squared asymmetric loss: the robust generalized quantile
+of AsymQuadratic(alpha) under BallPenalty(delta2) with p = 2, one root of the
+envelope slope in m (`robust_core._solve_outer`).
 """
 
 from __future__ import annotations
@@ -28,10 +26,10 @@ from .distributions import (
     partial_moment_plus,
     quantile,
 )
-from .errors import DeltaTooSmall, MomentUndefined
-from .losses import CostExponent, LossSpec, _check_alpha, quad_transform_coefficients
-from .penalizations import Penalization
-from .robust_core import RobustValue, SearchOptions, _lambda_search, _solve_outer
+from .errors import DeltaTooSmall, MomentUndefined, NoConvergence
+from .losses import AsymQuadratic, CostExponent, LossSpec, _check_alpha, quad_transform_coefficients
+from .penalizations import BallPenalty, Penalization
+from .robust_core import RobustValue, SearchOptions, _solve_outer
 from .solvers import increasing_root
 
 
@@ -79,7 +77,8 @@ def _require_second_moments(d: PriorDistribution) -> None:
 
 
 def _asymmetric_root_stats(d: PriorDistribution, a: float, b: float) -> tuple[float, int]:
-    """(root, FOC evaluation count) of m -> b*E[(X-m)^-] - a*E[(X-m)^+]."""
+    """(unique root, FOC evaluation count) of m -> b*E[(X-m)^-] - a*E[(X-m)^+]
+    for a, b > 0."""
     count = [0]
 
     def foc(m: float) -> float:
@@ -92,67 +91,32 @@ def _asymmetric_root_stats(d: PriorDistribution, a: float, b: float) -> tuple[fl
     return increasing_root(foc, lo, hi), count[0]
 
 
-def _asymmetric_root(d: PriorDistribution, a: float, b: float) -> float:
-    """Unique root of m -> b*E[(X-m)^-] - a*E[(X-m)^+] for a, b > 0."""
-    root, _ = _asymmetric_root_stats(d, a, b)
-    return root
-
-
 def expectile(d: PriorDistribution, alpha: float) -> float:
     """Unique m with alpha*E[(X-m)^+] = (1-alpha)*E[(X-m)^-]."""
     _check_alpha(alpha)
     _require_second_moments(d)
-    return _asymmetric_root(d, alpha, 1.0 - alpha)
+    return _asymmetric_root_stats(d, alpha, 1.0 - alpha)[0]
 
 
 def robust_expectile_linear(d: PriorDistribution, alpha: float, delta1: float) -> float:
     """Robust expectile under the linear penalty delta1 * distance."""
     level = ExpectileLevel(alpha, delta1)
     _require_second_moments(d)
-    return _asymmetric_root(d, level.coefficient_plus, level.coefficient_minus)
+    return _asymmetric_root_stats(d, level.coefficient_plus, level.coefficient_minus)[0]
 
 
 def _ball_stats(
     d: PriorDistribution, alpha: float, delta2: float, options: Optional[SearchOptions] = None
 ) -> tuple[float, float, int]:
-    """(robust expectile, minimizing lambda, inner-solve count) for the ball
-    penalty; delta2 must be positive here.
-
-    The profiled objective g(lam) = A*E[((X-m)^+)^2] + B*E[((X-m)^-)^2] +
-    delta2*lam at its inner minimizer m(lam) is convex, and by the envelope
-    theorem its slope is the partial derivative in lam with m held at m(lam),
-    so the minimizer is the root of that slope.  The root is bracketed from
-    thr*(1 + 1e-3), not from thr: next to thr, m(lam) sits on the prior's top
-    or bottom atom and the partial moment there, below its own rounding
-    error, would be divided by (lam - thr)^2.  A slope already nonnegative
-    there leaves the lambda search over the sliver below."""
-    opt = options or SearchOptions()
-    a, b = alpha, 1.0 - alpha
-    thr = max(a, b)
-    ms: dict[float, float] = {}
-
-    def inner_m(lam: float) -> float:
-        if lam not in ms:
-            tau = adjusted_level(alpha, lam)
-            ms[lam] = _asymmetric_root(d, tau, 1.0 - tau)
-        return ms[lam]
-
-    def g_value(lam: float) -> float:
-        m = inner_m(lam)
-        big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
-        return big_a * partial_moment_plus(d, m, 2) + big_b * partial_moment_minus(d, m, 2) + delta2 * lam
-
-    def g_slope(lam: float) -> float:
-        m = inner_m(lam)
-        plus, minus = partial_moment_plus(d, m, 2), partial_moment_minus(d, m, 2)
-        return delta2 - a * a * plus / (lam - a) ** 2 - b * b * minus / (lam - b) ** 2
-
-    lam_lo = thr * (1.0 + 1e-3)
-    if g_slope(lam_lo) < 0.0:
-        lam_star = increasing_root(g_slope, lam_lo, 2.0 * lam_lo)
-    else:
-        _, lam_star, _ = _lambda_search(g_value, thr + 1e-8, lam_lo, opt)
-    return inner_m(lam_star), lam_star, len(ms)
+    """(robust expectile, minimizing lambda, dual solves at distinct m) for
+    the ball penalty; raises NoConvergence when the solve's certificate
+    fails."""
+    rv = _solve_outer(d, AsymQuadratic(alpha), CostExponent(2.0), BallPenalty(delta2), options, add_m=False)
+    if not rv.converged:
+        raise NoConvergence(
+            f"ball expectile (alpha={alpha!r}, delta2={delta2!r}) fails its certificate at m = {rv.argmin_m[0]!r}"
+        )
+    return rv.argmin_m[0], rv.argmin_lambda, rv.evaluations
 
 
 def robust_expectile_ball(
@@ -169,8 +133,7 @@ def robust_expectile_ball(
     _require_second_moments(d)
     if delta2 == 0.0:
         return expectile(d, alpha)
-    value, _, _ = _ball_stats(d, alpha, delta2, options)
-    return value
+    return _ball_stats(d, alpha, delta2, options)[0]
 
 
 def robust_generalized_quantile(

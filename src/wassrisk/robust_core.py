@@ -24,6 +24,8 @@ first-order condition exactly (`_quadratic_argmin`): the prior enters only
 through its second partial moments at m, taken once, and the dual's slope on
 each linear piece of phi* is that piece's slope minus a decreasing function
 of lam, so the minimizer is a piece's left end or a root inside one piece.
+With both coefficients positive its outer search over m is a root of the
+slope in m, which the envelope theorem gives in closed form.
 Everything else (custom losses, mismatched exponents) runs one lambda search
 (`_lambda_search`): a golden section over the feasible lambda range,
 bracketed by doubling when the range has no end.  The search's bracket
@@ -64,6 +66,7 @@ from .solvers import (
     expand_bracket,
     flat_minimum_edges,
     golden_section_min,
+    increasing_root,
 )
 
 INF = math.inf
@@ -334,13 +337,21 @@ def _solve_outer(
     """The one outer minimization over m, of m + E_phi(l, X, m) (add_m) or of
     E_phi(l, X, m) alone; phi None drops the dual layer, leaving E[l(X - m)].
 
-    Brackets by doubling, runs golden section, locates the edges of a flat
-    bottom and certifies convergence by one-sided slopes outside them.  Every
-    (value, lambda, boundary) is memoised per m, so the dual solution at the
-    minimizer is read back rather than solved again.
+    A closed form (a, b) with a, b > 0 under p = 2 (the loss's own exponent
+    when phi is None) has one minimizer: the root, clipped to the support
+    under restrict_to_support, of the slope [1 if add_m] - 2*A*P1+(m) +
+    2*B*P1-(m), with (A, B) the transform coefficients at the dual's
+    lambda*(m) (Danskin's theorem).  Every other case, where a zero side may
+    leave a flat ray, runs golden section in a bracket grown by doubling and
+    locates the edges of a flat bottom.  Both certify convergence by
+    one-sided slopes outside the reported interval.  (value, lambda,
+    boundary) is memoised per m, so lambda at the minimizer is read back.
     """
     opt = options or SearchOptions()
     seen: dict[float, tuple[float, float, bool]] = {}
+    p = loss.growth_bound()[1] if cost is None else cost.p
+    form = loss.closed_form(p) if p == 2.0 else None
+    rooted = form is not None and min(form) > 0.0
 
     def f(m: float) -> float:
         if m not in seen:
@@ -350,16 +361,32 @@ def _solve_outer(
                 seen[m] = _functional_detail(d, loss, cost, phi, m, opt)  # type: ignore[arg-type]
         return m + seen[m][0] if add_m else seen[m][0]
 
+    def slope(m: float) -> float:
+        f(m)
+        lam = seen[m][1]  # NaN with no dual layer, inf for a ball of radius zero
+        big_a, big_b = quad_transform_coefficients(*form, lam) if lam < INF else form  # type: ignore[misc]
+        return float(add_m) + _partial_moment_sum(d, -2.0 * big_a, 2.0 * big_b, 1.0, m)
+
     center, span = d.center_and_span()
     if phi is not None:
         f(center)  # raise Infeasible before any bracketing
-    if opt.restrict_to_support and isinstance(d, Empirical):
+    restricted = opt.restrict_to_support and isinstance(d, Empirical)
+    lo, hi, flat_left, flat_right, hit_cap = -INF, INF, False, False, False
+    if restricted:
         lo, hi = d.support
-        flat_left = flat_right = False
-    else:
+    elif not rooted:
         lo, hi, flat_left, flat_right = expand_bracket(f, center - span, center + span)
-    if hi == lo:
-        f_min, m1, m2, m_star, converged = f(lo), lo, hi, lo, True
+    if rooted:
+        if restricted and slope(lo) >= 0.0:
+            m_star = lo
+        elif restricted and slope(hi) <= 0.0:
+            m_star = hi
+        else:
+            # rooted in z = m - center: brentq's tolerance then scales with |z|
+            m_star = center + increasing_root(lambda z: slope(center + z), -span, span)
+        f_min, m1, m2 = f(m_star), m_star, m_star
+    elif hi == lo:
+        f_min, m1, m2, m_star = f(lo), lo, hi, lo
     else:
         m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.tol)
         m1, m2 = flat_minimum_edges(f, m_star, f_min, lo, hi)
@@ -367,30 +394,24 @@ def _solve_outer(
             m1 = lo
         if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
             m2 = hi
-        # one-sided steps just outside the reported interval: the objective
-        # must not fall to the left of m1 nor to the right of m2 by more than
-        # a slope of FOC_TOL, or by more than 2 * FLAT_VALUE_TOL.  The edges
-        # lie in the FLAT_VALUE_TOL-sublevel set, so a larger fall puts a point
-        # outside the interval below f_min by more than the absolute value
-        # tolerance that defines it; a smaller one is within the objective's
-        # own accuracy (a minimum on an atom just past the located edge,
-        # partial moments with noise near 1e-10)
-        h = max(INTERVAL_RESOLUTION, 10.0 * opt.tol)
-        left_ok = right_ok = True
-        if m1 - h > lo:
-            fall = f(m1) - f(m1 - h)
-            left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
-        if m2 + h < hi:
-            fall = f(m2) - f(m2 + h)
-            right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
-        converged = (not hit_cap) and left_ok and right_ok
+    # one step h outside either end, the objective must not fall by more than
+    # a slope of FOC_TOL or 2 * FLAT_VALUE_TOL, the objective's own accuracy
+    # (partial moments with noise near 1e-10, an atom just past an edge)
+    h = max(INTERVAL_RESOLUTION, 10.0 * opt.tol)
+    left_ok = right_ok = True
+    if m1 - h > lo:
+        fall = f(m1) - f(m1 - h)
+        left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
+    if m2 + h < hi:
+        fall = f(m2) - f(m2 + h)
+        right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
     _, lam_star, boundary = seen[m_star]
     return RobustValue(
         value=f_min,
         argmin_m=(m1, m2),
         argmin_lambda=lam_star,
         evaluations=len(seen),
-        converged=converged,
+        converged=(not hit_cap) and left_ok and right_ok,
         boundary_lambda=boundary,
     )
 

@@ -268,6 +268,25 @@ class TestSweep:
             assert line.endswith(",false")
             assert "nan" in line
 
+    def test_failed_ball_certificate_fails_its_row(self, capsys, tmp_path, monkeypatch):
+        # a ball solve whose certificate fails raises NoConvergence, which
+        # the sweep records as a failed row; radius 0 is the classical
+        # expectile and takes no outer solve
+        from wassrisk import robust_core
+
+        root = robust_core.increasing_root
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
+        out_csv = tmp_path / "ball.csv"
+        code, _, _ = run(
+            capsys,
+            "sweep", "--prior", "normal:0,1", "--penalty", "ball",
+            "--alpha", "0.75", "--delta", "0,0.5", "--out", str(out_csv),
+        )
+        assert code == 0
+        zero, half = out_csv.read_text().strip().splitlines()[1:]
+        assert zero.endswith(",true")
+        assert half.endswith(",false") and "nan" in half
+
     def test_tol_flag_accepted(self, capsys):
         code, out, _ = run(
             capsys,

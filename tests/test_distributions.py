@@ -129,6 +129,16 @@ class TestPartialMomentExamples:
                     got = partial_moment_minus(d, m, power)
                     assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (rate, m, power)
 
+    def test_empirical_far_from_zero_keeps_its_digits(self):
+        # atoms and thresholds on a grid of 1/4 are exact after a shift of
+        # 1e9; sums about the mean lose nothing the shift does not
+        near = Empirical(tuple(zip([-1.5, 0.25, 0.75, 2.0], [0.1, 0.4, 0.3, 0.2])))
+        far = near.shift(1e9)
+        for m in (-2.0, -0.5, 0.25, 1.0, 2.5):
+            for power in (1, 2):
+                for moment in (partial_moment_plus, partial_moment_minus):
+                    assert moment(far, m + 1e9, power) == pytest.approx(moment(near, m, power), abs=1e-12)
+
     def test_power_validated(self):
         with pytest.raises(ValueError):
             partial_moment_plus(FAIR_COIN, 0.0, 3)
@@ -185,6 +195,18 @@ class TestStudentT:
                         limit=500,
                     )[0]
                     assert partial_moment_minus(d, m, power) == pytest.approx(ref_m, abs=1e-10)
+
+    @pytest.mark.parametrize("dof", [2.5, 5.0, 25.414486932271444])
+    def test_smooth_next_to_the_location(self, dof):
+        # second differences on a 1e-7 grid through the location stay at
+        # rounding level; an incomplete beta at x = dof/(dof + z^2), which
+        # rounds 1 - x near z = 0, put 1e-10 jumps into them
+        d = StudentT(dof, -0.2931952221464087, 1.4647138344122048)
+        ms = d.location + (np.arange(-6, 7) + 0.5) * 1e-7
+        for moment in (partial_moment_plus, partial_moment_minus):
+            for power in (1, 2):
+                values = np.array([moment(d, float(m), power) for m in ms])
+                assert np.abs(np.diff(values, 2)).max() <= 1e-12
 
     def test_moment_existence_thresholds(self):
         with pytest.raises(MomentUndefined):

@@ -15,17 +15,22 @@ from wassrisk import (
     Infeasible,
     LinearPenalty,
     MomentUndefined,
+    NoConvergence,
     Normal,
     Pinball,
     StudentT,
     adjusted_level,
     expectile,
     mean,
+    quantile,
     robust_expectile_ball,
     robust_expectile_linear,
+    robust_functional,
     robust_generalized_quantile,
     var,
 )
+
+from wassrisk import risk_measures, robust_core
 
 from conftest import coupled_arrays, emp, random_empirical
 
@@ -42,6 +47,23 @@ def normal_partial(z, power, tail):
         pdf = stats.norm.pdf(z)
         return pdf - z * sf if power == 1 else (1 + z**2) * sf - z * pdf
     return normal_partial(-z, power, "plus")
+
+
+def golden_argmin(f, lo, hi, tol=1e-10):
+    """Golden-section minimizer of a convex f on [lo, hi]."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, e = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    fc, fe = f(c), f(e)
+    while hi - lo > tol:
+        if fc <= fe:
+            hi, e, fe = e, c, fc
+            c = hi - inv * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, e, fe
+            e = lo + inv * (hi - lo)
+            fe = f(e)
+    return 0.5 * (lo + hi)
 
 
 def normal_expectile_grid_oracle(alpha, lo=-1.0, hi=3.0):
@@ -250,29 +272,37 @@ class TestRobustExpectileBall:
             assert robust_expectile_ball(pm, 0.8, radius) == pytest.approx(1.7, abs=1e-9)
 
     def test_far_prior_equals_the_recentred_solve(self):
-        # the prior with atoms near 1e6 of the output parity data: the
-        # envelope root keeps its answer to the recentred one plus the shift
+        # the prior with atoms near 1e6 of the output parity data: partial
+        # moments expanded about the nearest atom keep the answer to the
+        # recentred one plus the shift, to the spacing of floats near 1e6
         far = [1e6 + 0.37 * k * k - 3.1 * k for k in range(30)]
         weights = [(k + 1) / 465.0 for k in range(30)]
         near = Empirical(tuple(zip([x - 1e6 for x in far], weights)))
         got = robust_expectile_ball(Empirical(tuple(zip(far, weights))), 0.25, 0.6)
-        assert got == pytest.approx(robust_expectile_ball(near, 0.25, 0.6) + 1e6, abs=1e-6)
+        assert got == pytest.approx(robust_expectile_ball(near, 0.25, 0.6) + 1e6, abs=1e-9)
 
     def test_inner_solves_are_not_repeated(self, monkeypatch):
-        # every inner expectile solve is at a distinct lambda, and the one at
-        # lambda* is read back rather than solved again
-        from wassrisk import risk_measures
-
-        levels = []
-        root = risk_measures._asymmetric_root
+        # the ball expectile is one outer solve: each dual solve is at a
+        # distinct m, and the count it reports is the number of them
+        ms = []
+        detail = robust_core._functional_detail
         monkeypatch.setattr(
-            risk_measures, "_asymmetric_root", lambda d, a, b: levels.append(a) or root(d, a, b)
+            robust_core, "_functional_detail", lambda d, *args: ms.append(args[-2]) or detail(d, *args)
         )
         for d, alpha, radius in ((Normal(0, 1), 0.75, 0.5), (THREE, 0.2, 0.1), (Exponential(1.0), 0.1, 2.0)):
-            levels.clear()
+            ms.clear()
             got, _, count = risk_measures._ball_stats(d, alpha, radius)
-            assert count == len(levels) == len(set(levels)) < 40
+            assert count == len(ms) == len(set(ms)) < 40
             assert got == robust_expectile_ball(d, alpha, radius)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a minimizer moved off the root fails the one-sided certificate,
+        # and the ball expectile raises instead of returning it
+        root = robust_core.increasing_root
+        assert math.isfinite(robust_expectile_ball(Normal(0, 1), 0.75, 0.5))
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
+        with pytest.raises(NoConvergence):
+            robust_expectile_ball(Normal(0, 1), 0.75, 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -312,12 +342,19 @@ class TestRobustGeneralizedQuantile:
             assert 0.5 * (m1 + m2) == pytest.approx(root, abs=1e-4)
 
     def test_ball_path_agrees_with_reduced_solver(self, rng):
-        for _ in range(5):
-            d = random_empirical(rng, max_atoms=10)
-            alpha, radius = 0.7, 0.4
-            m1, m2 = robust_generalized_quantile(d, AsymQuadratic(alpha), P2, BallPenalty(radius))
-            reduced = robust_expectile_ball(d, alpha, radius)
-            assert 0.5 * (m1 + m2) == pytest.approx(reduced, abs=1e-4)
+        # an independent oracle: golden section over m of the public robust
+        # functional, against both the quantile solve and the ball expectile
+        alpha, radius = 0.7, 0.4
+        loss, phi = AsymQuadratic(alpha), BallPenalty(radius)
+        priors = [random_empirical(rng, max_atoms=10) for _ in range(3)]
+        priors += [Normal(0.2, 1.3), StudentT(5.0, -0.1, 0.8), Exponential(1.7)]
+        for d in priors:
+            lo, hi = quantile(d, 0.001) - 2.0, quantile(d, 0.999) + 2.0
+            oracle = golden_argmin(lambda m: robust_functional(d, loss, P2, phi, m), lo, hi)
+            m1, m2 = robust_generalized_quantile(d, loss, P2, phi)
+            assert m1 == m2
+            assert m1 == pytest.approx(oracle, abs=1e-6)
+            assert robust_expectile_ball(d, alpha, radius) == pytest.approx(oracle, abs=1e-6)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):

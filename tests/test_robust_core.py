@@ -27,12 +27,15 @@ from wassrisk import (
     expected_transform,
     finiteness_threshold,
     penalty_evaluate,
+    robust_expectile_ball,
     robust_functional,
+    robust_generalized_quantile,
     robust_oce,
     wasserstein_1d,
 )
 
-from wassrisk import robust_core
+from wassrisk import risk_measures, robust_core
+from wassrisk.risk_measures import robust_generalized_quantile_detail
 from wassrisk.robust_core import _functional_detail
 from wassrisk.solvers import MAX_DOUBLINGS, golden_section_min
 
@@ -394,10 +397,10 @@ class TestRobustOce:
         assert abs(rv.value - self._grid_minimum(d, loss, phi, rv.argmin_m)) <= 1e-9
 
     def test_converged_where_the_partial_moments_are_noisy(self):
-        # the Student-t second partial moment carries noise of about 1e-10
-        # between points 1e-7 apart, above the 1e-11 a slope of FOC_TOL
-        # allows over one step of 1e-6; the objective falls by 1.02e-10 over
-        # the step left of the located edge, to 1.6e-11 below the value
+        # the minimum lies 2e-4 scale units from the Student-t location,
+        # where a survival function through the incomplete beta at x near 1
+        # carried noise of about 1e-10 between points 1e-7 apart, above the
+        # 1e-11 a slope of FOC_TOL allows over one step of 1e-6
         d = StudentT(25.414486932271444, -0.2931952221464087, 1.4647138344122048)
         loss = AsymQuadratic(0.6395581609514351)
         phi = PiecewiseLinearPenalty(
@@ -414,12 +417,12 @@ class TestRobustOce:
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
     @pytest.mark.parametrize("loc", [0.2, 1e6 + 0.2])
     def test_not_converged_off_the_minimum(self, monkeypatch, loc, phi):
-        # an interval 1e-2 to the right of the true one: the objective falls
-        # by about 1.3e-8 over the step of 1e-6 to the left of its edge, so
-        # the certificate must refuse it.  Near 1e6 the value is about 1e6,
-        # and the allowance must not grow with it (FLAT_VALUE_TOL * |value|
-        # would be 1e-4 there).  A standardised Normal is exact at that
-        # location; an empirical prior there is not (ROADMAP item 2)
+        # golden path: a p = 1 closed form with a = 1.4 > 1 has a minimum,
+        # and an interval 1e-2 to the right of it lets the objective fall by
+        # about 4e-9 over the step of 1e-6 to the left of its edge, so the
+        # certificate must refuse it.  Near 1e6 the value is about 1e6, and
+        # the allowance must not grow with it (FLAT_VALUE_TOL * |value| would
+        # be 1e-4 there)
         edges = robust_core.flat_minimum_edges
 
         def shifted(*args, **kwargs):
@@ -427,37 +430,52 @@ class TestRobustOce:
             return m1 + 1e-2, m2 + 1e-2
 
         d = Normal(loc, 1.3)
-        assert robust_oce(d, AsymQuadratic(0.7), P2, phi).converged
+        loss = GeneralizedQuantile(0.7, PowerLoss(2.0, 1.0), PowerLoss(1.0, 1.0))
+        assert robust_oce(d, loss, P1, phi).converged
         monkeypatch.setattr(robust_core, "flat_minimum_edges", shifted)
-        assert not robust_oce(d, AsymQuadratic(0.7), P2, phi).converged
+        assert not robust_oce(d, loss, P1, phi).converged
+
+    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    @pytest.mark.parametrize("loc", [0.2, 1e6 + 0.2])
+    def test_root_not_converged_off_the_minimum(self, monkeypatch, loc, phi):
+        # root path: the same certificate refuses a root moved by 1e-2
+        root = robust_core.increasing_root
+        d = Normal(loc, 1.3)
+        assert robust_oce(d, AsymQuadratic(0.7), P2, phi).converged
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
+        rv = robust_oce(d, AsymQuadratic(0.7), P2, phi)
+        assert rv.argmin_m[0] == rv.argmin_m[1]
+        assert not rv.converged
 
     @pytest.mark.parametrize(
         "phi", [BallPenalty(0.3), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
     )
     def test_dual_solution_read_back_at_the_minimizer(self, rng, monkeypatch, phi):
-        # the outer search keeps (value, lambda, boundary) per m and solves
-        # the dual once per distinct m; lambda and the boundary flag at m*
-        # equal a fresh dual solve there
+        # the outer solve keeps (value, lambda, boundary) per m and solves
+        # the dual once per distinct m; lambda and the boundary flag at its
+        # one minimizer equal a fresh dual solve there.  Under the ball the
+        # robust expectile (`_ball_stats`, no m term) reads lambda back too
         calls = []
 
         def recording(d, loss, cost, phi, m, opt):
-            out = _functional_detail(d, loss, cost, phi, m, opt)
-            calls.append((m, out))
-            return out
+            calls.append(m)
+            return _functional_detail(d, loss, cost, phi, m, opt)
 
         monkeypatch.setattr(robust_core, "_functional_detail", recording)
         loss = AsymQuadratic(0.7)
         for d in (Normal(0.2, 1.3), random_empirical(rng, max_atoms=25)):
             calls.clear()
             rv = robust_oce(d, loss, P2, phi)
-            assert len(calls) == len({m for m, _ in calls}) == rv.evaluations
-            # the minimum value can be attained at several evaluated m
-            fresh = [
-                _functional_detail(d, loss, P2, phi, m, SearchOptions())[1:]
-                for m, (value, _, _) in calls
-                if m + value == rv.value
-            ]
-            assert (rv.argmin_lambda, rv.boundary_lambda) in fresh
+            m_star = rv.argmin_m[0]
+            assert rv.argmin_m[1] == m_star
+            assert len(calls) == len(set(calls)) == rv.evaluations
+            fresh = _functional_detail(d, loss, P2, phi, m_star, SearchOptions())
+            assert (rv.argmin_lambda, rv.boundary_lambda) == fresh[1:]
+            if isinstance(phi, BallPenalty):
+                calls.clear()
+                m_star, lam, count = risk_measures._ball_stats(d, 0.7, phi.delta)
+                assert len(calls) == len(set(calls)) == count
+                assert lam == _functional_detail(d, loss, P2, phi, m_star, SearchOptions())[1]
 
     def test_result_invariants(self, rng):
         for _ in range(5):
@@ -478,11 +496,9 @@ class TestClassicalOce:
         rv = classical_oce(FAIR_COIN, AsymQuadratic(0.5))
         assert rv.value == pytest.approx(float(objective[k]), abs=1e-9)
         assert rv.value == pytest.approx(0.125, abs=1e-9)
-        # the reported interval is the 1e-10-sublevel set, symmetric about the
-        # true argmin for a smooth objective
-        mid = 0.5 * (rv.argmin_m[0] + rv.argmin_m[1])
-        assert mid == pytest.approx(-0.5, abs=1e-5)
-        assert rv.argmin_m[0] <= -0.5 <= rv.argmin_m[1]
+        # the quadratic argmin is one point, the root of the slope m + 1/2
+        m1, m2 = rv.argmin_m
+        assert m1 == m2 == pytest.approx(-0.5, abs=1e-12)
         # the objective evaluated at m = 1/2 is 1/2 + 1/8
         at_half = 0.5 + 0.25 * (0.25 + 0.25)
         assert at_half == pytest.approx(0.5 + 0.125, abs=1e-15)
@@ -498,9 +514,60 @@ class TestClassicalOce:
         # the argmin of the expectation alone (no +m term) sits at 0
         rv = classical_oce(Normal(0, 1), AsymQuadratic(0.5))
         assert rv.value == pytest.approx(0.0, abs=1e-9)
-        assert 0.5 * (rv.argmin_m[0] + rv.argmin_m[1]) == pytest.approx(-1.0, abs=1e-5)
-        assert rv.argmin_m[0] <= -1.0 <= rv.argmin_m[1]
+        m1, m2 = rv.argmin_m
+        assert m1 == m2 == pytest.approx(-1.0, abs=1e-12)
         assert math.isnan(rv.argmin_lambda)
+
+
+class TestEnvelopeRoot:
+    """A quadratic closed form with both coefficients positive under p = 2
+    takes its argmin as the root of the envelope slope: one point."""
+
+    def test_symmetric_quantile_is_the_mean_to_rounding(self):
+        m1, m2 = robust_generalized_quantile(Normal(0, 1), AsymQuadratic(0.5), P2, LinearPenalty(2.0))
+        assert m1 == m2
+        assert abs(m1) <= 1e-12
+
+    @pytest.mark.parametrize("solve", [
+        lambda opt: classical_oce(FAIR_COIN, AsymQuadratic(0.5), opt),
+        lambda opt: robust_oce(FAIR_COIN, AsymQuadratic(0.5), P2, BallPenalty(0.0), opt),
+    ])
+    def test_restricted_root_clips_to_the_support(self, solve):
+        # m + (m^2 + (1 - m)^2)/4 falls toward m = -1/2, left of the support
+        rv = solve(SearchOptions(restrict_to_support=True))
+        assert rv.argmin_m == (0.0, 0.0)
+        assert rv.value == pytest.approx(0.25, abs=1e-15)
+        assert rv.converged
+
+    @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.3)])
+    def test_zero_side_keeps_its_flat_ray(self, phi):
+        # h = 0.65*(x^+)^2 vanishes on x <= 0: every m above the top atom is
+        # a minimizer, so the golden engine reports the interval
+        loss = GeneralizedQuantile(0.65, PowerLoss(1.0, 2.0), PowerLoss(0.0, 2.0))
+        m1, m2 = robust_generalized_quantile(Empirical.uniform([-1.0, 0.5, 2.0]), loss, P2, phi)
+        assert m1 == pytest.approx(2.0, abs=1e-4)
+        assert m2 == 5.0
+
+    def test_no_golden_bracket_or_edge_solver_runs(self, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quadratic family must not search")
+
+        for name in ("golden_section_min", "expand_bracket", "flat_minimum_edges"):
+            monkeypatch.setattr(robust_core, name, refuse)
+        restricted = SearchOptions(restrict_to_support=True)
+        losses = [AsymQuadratic(0.3), GeneralizedQuantile(0.6, PowerLoss(0.9, 2.0), PowerLoss(1.2, 2.0))]
+        penalties = [LinearPenalty(2.5), BallPenalty(0.0), BallPenalty(0.4), SEARCHED_PENALTIES[1]]
+        for d in (Normal(0.2, 1.3), StudentT(5.0, 0.1, 1.1), Exponential(1.3), random_empirical(rng, 20)):
+            for loss in losses:
+                for opt in (SearchOptions(), restricted):
+                    assert classical_oce(d, loss, opt).converged
+                    for phi in penalties:
+                        oce = robust_oce(d, loss, P2, phi, opt)
+                        quantile = robust_generalized_quantile_detail(d, loss, P2, phi, opt)
+                        for rv in (oce, quantile):
+                            assert rv.converged
+                            assert rv.argmin_m[0] == rv.argmin_m[1]
+            assert math.isfinite(robust_expectile_ball(d, 0.3, 0.4))
 
 
 class TestOceAxioms:
