@@ -27,7 +27,6 @@ from .errors import MomentUndefined
 WEIGHT_SUM_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DISCRETIZE_N = 2001
-_BULK_TAIL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -148,9 +147,16 @@ class Empirical:
         lo, hi = self.support
         return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)
 
-    def bulk_interval(self) -> tuple[float, float]:
-        """An interval holding the bulk of the mass, where root searches start."""
-        return self.support
+    def quantile_set(self, tau: float) -> tuple[float, float]:
+        """[q-(tau), q+(tau)] for tau in [0, 1]: every m with P(X < m) <= tau
+        <= P(X <= m), a ray past the support's end at tau = 0 or 1."""
+        x = self._x  # type: ignore[attr-defined]
+        if tau <= 0.0:
+            return -math.inf, float(x[0])
+        if tau >= 1.0:
+            return float(x[-1]), math.inf
+        j = int(np.searchsorted(self._cw, tau, side="right"))  # type: ignore[attr-defined]
+        return self.ppf(tau), float(x[min(j, len(x) - 1)])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) that sums over atoms use for this law."""
@@ -177,7 +183,10 @@ def _about_atom(sums: tuple[np.ndarray, ...], i: int, t: float, power: int) -> f
 
 class _Parametric:
     """Behaviour shared by the continuous families: unbounded mass above,
-    and the midpoint-quantile discretization as their atoms."""
+    a positive density on the support, and the midpoint-quantile
+    discretization as their atoms."""
+
+    lower_end = -math.inf  # of the support
 
     def second_moments_finite(self) -> bool:
         return True
@@ -188,8 +197,15 @@ class _Parametric:
     def prob_below(self, m: float) -> float:
         return 1.0
 
-    def bulk_interval(self) -> tuple[float, float]:
-        return quantile(self, _BULK_TAIL), quantile(self, 1.0 - _BULK_TAIL)  # type: ignore[arg-type]
+    def quantile_set(self, tau: float) -> tuple[float, float]:
+        """[q-(tau), q+(tau)]: one point for tau in (0, 1), the ray below the
+        support at tau = 0, nothing finite at tau = 1."""
+        if tau <= 0.0:
+            return -math.inf, self.lower_end
+        if tau >= 1.0:
+            return math.inf, math.inf
+        q = self.ppf(tau)  # type: ignore[attr-defined]
+        return q, q
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint quantile discretization, used only for custom losses;
@@ -255,6 +271,7 @@ def _exp_head_series(t: float, power: int) -> float:
 @dataclass(frozen=True)
 class Exponential(_Parametric):
     rate: float
+    lower_end = 0.0
 
     def __post_init__(self) -> None:
         if not (self.rate > 0.0 and math.isfinite(self.rate)):

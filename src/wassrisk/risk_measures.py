@@ -9,6 +9,9 @@ condition
 
 which also equals the classical expectile at the adjusted level A/(A+B); the
 implementation solves the FOC and the identity is kept as a test property.
+Both expectiles are the envelope root of `robust_core._closed_form_argmin`
+for the closed form (A, B) (or (alpha, 1 - alpha)) under p = 2, taken in
+m - centre from the prior's `center_and_span()`.
 The ball-penalty robust expectile is the argmin over m of the ball robust
 functional with the squared asymmetric loss: the robust generalized quantile
 of AsymQuadratic(alpha) under BallPenalty(delta2) with p = 2, one root of the
@@ -29,8 +32,7 @@ from .distributions import (
 from .errors import DeltaTooSmall, MomentUndefined, NoConvergence
 from .losses import AsymQuadratic, CostExponent, LossSpec, _check_alpha, quad_transform_coefficients
 from .penalizations import BallPenalty, Penalization
-from .robust_core import RobustValue, SearchOptions, _solve_outer
-from .solvers import increasing_root
+from .robust_core import RobustValue, SearchOptions, _closed_form_argmin, _solve_outer
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,14 @@ def _require_second_moments(d: PriorDistribution) -> None:
 
 def _asymmetric_root_stats(d: PriorDistribution, a: float, b: float) -> tuple[float, int]:
     """(unique root, FOC evaluation count) of m -> b*E[(X-m)^-] - a*E[(X-m)^+]
-    for a, b > 0."""
+    for a, b > 0: the minimizer of a*E[((X-m)^+)^2] + b*E[((X-m)^-)^2]."""
     count = [0]
 
     def foc(m: float) -> float:
         count[0] += 1
         return b * partial_moment_minus(d, m, 1) - a * partial_moment_plus(d, m, 1)
 
-    lo, hi = d.bulk_interval()
-    if hi == lo:
-        return lo, 0
-    return increasing_root(foc, lo, hi), count[0]
+    return _closed_form_argmin(d, a, b, 2.0, 0.0, foc)[0], count[0]
 
 
 def expectile(d: PriorDistribution, alpha: float) -> float:

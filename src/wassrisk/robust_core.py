@@ -24,12 +24,14 @@ first-order condition exactly (`_quadratic_argmin`): the prior enters only
 through its second partial moments at m, taken once, and the dual's slope on
 each linear piece of phi* is that piece's slope minus a decreasing function
 of lam, so the minimizer is a piece's left end or a root inside one piece.
-With both coefficients positive its outer search over m is a root of the
-slope in m, which the envelope theorem gives in closed form.
-Everything else (custom losses, mismatched exponents) runs one lambda search
-(`_lambda_search`): a golden section over the feasible lambda range,
-bracketed by doubling when the range has no end.  The search's bracket
-tolerance is `SearchOptions.tol`; its budgets are the `solvers` constants.
+Every closed form takes its outer argmin set exactly (`_closed_form_argmin`):
+with p = 2 and a > 0 a root of the slope in m, which the envelope theorem
+gives in closed form; with p = 1, or a zero side, a quantile set read from
+the cdf.  The golden-section engine serves only custom losses and
+mismatched exponents: one lambda search (`_lambda_search`), a golden section
+over the feasible lambda range bracketed by doubling when the range has no
+end, inside a golden section over m.  Its bracket tolerance is
+`SearchOptions.tol`; its budgets are the `solvers` constants.
 Losses without a closed form take the transform of every atom numerically.
 """
 
@@ -79,9 +81,9 @@ _NEWTON_RTOL = 1e-15
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Bracket tolerance of the golden sections over m and lambda, and
-    whether the outer search over m stays on the support of an empirical
-    prior."""
+    """Bracket tolerance of the golden sections over m and lambda (losses
+    without a closed form), and whether the outer search over m stays on
+    the support of an empirical prior."""
 
     tol: float = 1e-9
     restrict_to_support: bool = False
@@ -91,10 +93,12 @@ class SearchOptions:
 class RobustValue:
     """Result of a robust evaluation.
 
-    argmin_m is the closed interval of minimizers (a flat bottom is reported
-    honestly, never collapsed to an arbitrary point); argmin_lambda is the
-    dual variable at the reported minimizer, with boundary_lambda flagging
-    solutions sitting on the edge of the conjugate's domain.
+    argmin_m is the closed set of minimizers, never collapsed to an
+    arbitrary point: exact for a closed form, an end at -inf or +inf for a
+    ray flat past the support; a custom loss's flat bottom has its edges
+    located to 1e-6.  argmin_lambda is the dual variable at the reported
+    minimizer, with boundary_lambda flagging solutions sitting on the edge
+    of the conjugate's domain.
     """
 
     value: float
@@ -326,6 +330,49 @@ def robust_functional(
     return value
 
 
+def _closed_form_argmin(
+    d: PriorDistribution,
+    a: float,
+    b: float,
+    p: float,
+    shift: float,
+    slope: Callable[[float], float],
+    lo: float = -INF,
+    hi: float = INF,
+) -> tuple[float, float]:
+    """The exact argmin set [m1, m2] over [lo, hi] of shift*m + g(m), g the
+    expectation or robust functional of the closed form (a, b) under cost
+    exponent p, whose derivative in m is `slope`.  Under p = 2 with a > 0
+    (and b > 0 or a shift) it is one point: an end of a finite [lo, hi]
+    where the slope points inward, else the slope's root taken in
+    z = m - centre.  Otherwise it is [q-(tau), q+(tau)] at
+    tau = (a - shift)/(a + b), clipped to [lo, hi]: with p = 1 the slope is
+    shift - a + (a + b)*F(m), and a zero side under p = 2 is minimal where
+    its one partial moment vanishes, a ray past the support (tau = 0 or 1).
+    Raises NoConvergence when the set has no finite point.
+    """
+    if p == 2.0 and a > 0.0 and (b > 0.0 or shift):
+        if lo > -INF and slope(lo) >= 0.0:
+            return lo, lo
+        if hi < INF and slope(hi) <= 0.0:
+            return hi, hi
+        center, span = d.center_and_span()
+        if not shift and d.prob_above(center) == d.prob_below(center) == 0.0:
+            return center, center
+        m = center + increasing_root(lambda z: slope(center + z), -span, span)
+        return m, m
+    if a + b == 0.0:  # a zero loss: the slope is the shift alone
+        tau, m1, m2 = (-INF, -INF, -INF) if shift else (0.5, -INF, INF)
+    else:
+        tau = (a - shift) / (a + b)
+        m1, m2 = d.quantile_set(tau) if 0.0 <= tau <= 1.0 else (math.copysign(INF, tau),) * 2
+    m1, m2 = min(max(m1, lo), hi), max(min(m2, hi), lo)
+    if m1 == m2 and math.isinf(m1):
+        fall = "approaches its infimum" if 0.0 <= tau <= 1.0 else "keeps decreasing toward -inf"
+        raise NoConvergence(f"objective {fall} on the {'left' if m1 < 0.0 else 'right'}")
+    return m1, m2
+
+
 def _solve_outer(
     d: PriorDistribution,
     loss: LossSpec,
@@ -337,21 +384,20 @@ def _solve_outer(
     """The one outer minimization over m, of m + E_phi(l, X, m) (add_m) or of
     E_phi(l, X, m) alone; phi None drops the dual layer, leaving E[l(X - m)].
 
-    A closed form (a, b) with a, b > 0 under p = 2 (the loss's own exponent
-    when phi is None) has one minimizer: the root, clipped to the support
-    under restrict_to_support, of the slope [1 if add_m] - 2*A*P1+(m) +
-    2*B*P1-(m), with (A, B) the transform coefficients at the dual's
-    lambda*(m) (Danskin's theorem).  Every other case, where a zero side may
-    leave a flat ray, runs golden section in a bracket grown by doubling and
-    locates the edges of a flat bottom.  Both certify convergence by
-    one-sided slopes outside the reported interval.  (value, lambda,
-    boundary) is memoised per m, so lambda at the minimizer is read back.
+    A closed form (a, b) under p in {1, 2} (the loss's own exponent when phi
+    is None) takes its exact set from `_closed_form_argmin`, a quantile set
+    or the root of the slope [1 if add_m] - 2*A*P1+(m) + 2*B*P1-(m), with
+    (A, B) the transform coefficients at the dual's lambda*(m) (Danskin's
+    theorem).  Custom losses and mismatched exponents run golden section in
+    a bracket grown by doubling and locate the edges of a flat bottom.  Both
+    certify convergence by one-sided slopes outside the reported interval.
+    (value, lambda, boundary) is memoised per m, so lambda at the minimizer
+    is read back.
     """
     opt = options or SearchOptions()
     seen: dict[float, tuple[float, float, bool]] = {}
     p = loss.growth_bound()[1] if cost is None else cost.p
-    form = loss.closed_form(p) if p == 2.0 else None
-    rooted = form is not None and min(form) > 0.0
+    form = loss.closed_form(p)
 
     def f(m: float) -> float:
         if m not in seen:
@@ -369,25 +415,17 @@ def _solve_outer(
 
     center, span = d.center_and_span()
     if phi is not None:
-        f(center)  # raise Infeasible before any bracketing
+        f(center)  # raise Infeasible before any search
     restricted = opt.restrict_to_support and isinstance(d, Empirical)
-    lo, hi, flat_left, flat_right, hit_cap = -INF, INF, False, False, False
-    if restricted:
-        lo, hi = d.support
-    elif not rooted:
-        lo, hi, flat_left, flat_right = expand_bracket(f, center - span, center + span)
-    if rooted:
-        if restricted and slope(lo) >= 0.0:
-            m_star = lo
-        elif restricted and slope(hi) <= 0.0:
-            m_star = hi
-        else:
-            # rooted in z = m - center: brentq's tolerance then scales with |z|
-            m_star = center + increasing_root(lambda z: slope(center + z), -span, span)
-        f_min, m1, m2 = f(m_star), m_star, m_star
-    elif hi == lo:
-        f_min, m1, m2, m_star = f(lo), lo, hi, lo
+    lo, hi = d.support if restricted else (-INF, INF)
+    hit_cap = False
+    if form is not None:
+        m1, m2 = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi)
+        m_star = m1 if m1 > -INF else (m2 if m2 < INF else center)
+        f_min = f(m_star)
     else:
+        bracket = (lo, hi, False, False) if restricted else expand_bracket(f, center - span, center + span)
+        lo, hi, flat_left, flat_right = bracket
         m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.tol)
         m1, m2 = flat_minimum_edges(f, m_star, f_min, lo, hi)
         if flat_left and m1 <= lo + INTERVAL_RESOLUTION:

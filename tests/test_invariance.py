@@ -1,7 +1,8 @@
 """Translation equivariance of the robust measures, as properties.
 
-Shifting the prior by c shifts a robust OCE value and a robust generalized
-quantile's minimizer by c, at any magnitude.  The properties run at c in
+Shifting the prior by c shifts a robust OCE value, a robust generalized
+quantile's minimizer, the classical and linear robust expectiles and both
+ends of the pinball quantile interval by c, at any magnitude.  The properties run at c in
 {1e3, 1e6, 1e9} under linear, ball and piecewise penalties on empirical
 priors drawn by Hypothesis (derandomized, so every run checks the same
 examples).  Near 1e9 the shifted atoms themselves round to about 6e-8, which
@@ -21,11 +22,14 @@ from wassrisk import (
     Empirical,
     LinearPenalty,
     PiecewiseLinearPenalty,
+    Pinball,
+    expectile,
+    robust_expectile_linear,
     robust_oce,
 )
 from wassrisk.risk_measures import robust_generalized_quantile_detail
 
-P2 = CostExponent(2.0)
+P1, P2 = CostExponent(1.0), CostExponent(2.0)
 
 ATOMS = st.lists(
     st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 1.0)), min_size=1, max_size=12
@@ -61,3 +65,21 @@ def test_shift_moves_value_and_minimizer_by_the_shift(c, kind, atoms, alpha, del
     m_moved = robust_generalized_quantile_detail(d.shift(c), loss, P2, phi)
     assert m_base.converged and m_moved.converged
     assert abs((m_moved.argmin_m[0] - c) - m_base.argmin_m[0]) <= tol
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(atoms=ATOMS, alpha=st.floats(0.1, 0.9), delta=st.floats(0.05, 2.0))
+def test_shift_moves_the_expectiles_and_the_pinball_interval(c, atoms, alpha, delta):
+    d = _prior(atoms)
+    tol = 1e-8 + 2e-15 * abs(c)
+    delta1 = max(alpha, 1.0 - alpha) + delta
+    assert abs((expectile(d.shift(c), alpha) - c) - expectile(d, alpha)) <= tol
+    base = robust_expectile_linear(d, alpha, delta1)
+    assert abs((robust_expectile_linear(d.shift(c), alpha, delta1) - c) - base) <= tol
+    phi = LinearPenalty(delta1)
+    q_base = robust_generalized_quantile_detail(d, Pinball(alpha), P1, phi)
+    q_moved = robust_generalized_quantile_detail(d.shift(c), Pinball(alpha), P1, phi)
+    assert q_base.converged and q_moved.converged
+    for m_moved, m_base in zip(q_moved.argmin_m, q_base.argmin_m):
+        assert abs((m_moved - c) - m_base) <= tol

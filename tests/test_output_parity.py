@@ -16,12 +16,19 @@ A change that alters results on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_output_parity.py --write
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  To see what moved,
+
+    PYTHONPATH=src python tests/test_output_parity.py --diff
+
+prints every key whose result differs from the stored one with the largest
+absolute change among its numbers (decoded from hex), per field for a
+RobustValue.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -241,9 +248,65 @@ def test_outputs_match_stored_results():
     assert not differ, f"{len(differ)} results differ from the stored ones: {differ}"
 
 
+def _numbers(x) -> list:
+    """The leaves of a stored result in order, hex strings decoded to floats."""
+    if isinstance(x, dict):
+        return [v for key in sorted(x) for v in _numbers(x[key])]
+    if isinstance(x, list):
+        return [v for item in x for v in _numbers(item)]
+    if isinstance(x, str):
+        try:
+            return [float.fromhex(x)]
+        except ValueError:
+            return [x]
+    return [x]
+
+
+def _largest_change(old, new) -> float:
+    """max |new - old| over paired numbers; inf when the shapes, types or
+    non-numeric leaves differ."""
+    a, b = _numbers(old), _numbers(new)
+    if len(a) != len(b):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or (isinstance(x, float) and isinstance(y, float) and math.isnan(x) and math.isnan(y)):
+            continue
+        if not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
+            return math.inf
+        worst = max(worst, abs(y - x))
+    return worst
+
+
+def print_diff() -> int:
+    """Print every moved key; the number of moved keys."""
+    with open(DATA) as handle:
+        stored = json.load(handle)
+    got = json.loads(json.dumps(compute()))
+    moved = 0
+    for key in sorted(set(stored) | set(got)):
+        if key not in stored or key not in got:
+            print(f"{key}: only in the {'stored' if key in stored else 'computed'} results")
+            moved += 1
+            continue
+        old, new = stored[key], got[key]
+        if old == new:
+            continue
+        moved += 1
+        if isinstance(old, dict) and isinstance(new, dict) and "raises" not in old and "raises" not in new:
+            changes = [(f, _largest_change(old[f], new.get(f))) for f in sorted(old) if old[f] != new.get(f)]
+        else:
+            changes = [("largest change", _largest_change(old, new))]
+        print(f"{key}: " + ", ".join(f"{name} {change!r}" for name, change in changes))
+    print(f"{moved} of {len(stored)} stored keys moved")
+    return moved
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(1 if print_diff() else 0)
     if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_output_parity.py --write")
+        sys.exit("usage: python tests/test_output_parity.py --write | --diff")
     results = compute()
     with open(DATA, "w") as handle:
         json.dump(results, handle, indent=1, sort_keys=True)

@@ -25,9 +25,11 @@ from wassrisk import (
     classical_oce,
     conjugate,
     expected_transform,
+    expectile,
     finiteness_threshold,
     penalty_evaluate,
     robust_expectile_ball,
+    robust_expectile_linear,
     robust_functional,
     robust_generalized_quantile,
     robust_oce,
@@ -414,15 +416,19 @@ class TestRobustOce:
         assert rv.converged
         assert abs(rv.value - self._grid_minimum(d, loss, phi, rv.argmin_m)) <= 1e-9
 
-    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    # a custom loss under a ball of positive radius or a piecewise penalty
+    # searches lambda with a numeric transform per probe, about 1.5 s per
+    # dual solve near its threshold; these two penalties take the end of the
+    # conjugate's domain without a search
+    @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.0)])
     @pytest.mark.parametrize("loc", [0.2, 1e6 + 0.2])
     def test_not_converged_off_the_minimum(self, monkeypatch, loc, phi):
-        # golden path: a p = 1 closed form with a = 1.4 > 1 has a minimum,
-        # and an interval 1e-2 to the right of it lets the objective fall by
-        # about 4e-9 over the step of 1e-6 to the left of its edge, so the
-        # certificate must refuse it.  Near 1e6 the value is about 1e6, and
-        # the allowance must not grow with it (FLAT_VALUE_TOL * |value| would
-        # be 1e-4 there)
+        # golden path: a custom twin of the p = 1 closed form with
+        # a = 1.4 > 1 has a minimum, and an interval 1e-2 to the right of it
+        # lets the objective fall by about 4e-9 over the step of 1e-6 to the
+        # left of its edge, so the certificate must refuse it.  Near 1e6 the
+        # value is about 1e6, and the allowance must not grow with it
+        # (FLAT_VALUE_TOL * |value| would be 1e-4 there)
         edges = robust_core.flat_minimum_edges
 
         def shifted(*args, **kwargs):
@@ -430,7 +436,7 @@ class TestRobustOce:
             return m1 + 1e-2, m2 + 1e-2
 
         d = Normal(loc, 1.3)
-        loss = GeneralizedQuantile(0.7, PowerLoss(2.0, 1.0), PowerLoss(1.0, 1.0))
+        loss = CustomLoss(lambda y: 1.4 * np.maximum(y, 0.0) + 0.3 * np.maximum(-y, 0.0), 1.4, 1.0)
         assert robust_oce(d, loss, P1, phi).converged
         monkeypatch.setattr(robust_core, "flat_minimum_edges", shifted)
         assert not robust_oce(d, loss, P1, phi).converged
@@ -520,8 +526,9 @@ class TestClassicalOce:
 
 
 class TestEnvelopeRoot:
-    """A quadratic closed form with both coefficients positive under p = 2
-    takes its argmin as the root of the envelope slope: one point."""
+    """A closed form takes its exact argmin set: under p = 2 with a > 0 the
+    root of the envelope slope, one point; under p = 1 or with a zero side a
+    quantile set read from the cdf, an interval or a ray."""
 
     def test_symmetric_quantile_is_the_mean_to_rounding(self):
         m1, m2 = robust_generalized_quantile(Normal(0, 1), AsymQuadratic(0.5), P2, LinearPenalty(2.0))
@@ -541,33 +548,71 @@ class TestEnvelopeRoot:
 
     @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.3)])
     def test_zero_side_keeps_its_flat_ray(self, phi):
-        # h = 0.65*(x^+)^2 vanishes on x <= 0: every m above the top atom is
-        # a minimizer, so the golden engine reports the interval
+        # h = 0.65*(x^+)^2 vanishes on x <= 0: the value falls with
+        # E[((X - m)^+)^2] alone, so every m from the top atom on is a
+        # minimizer.  A normal prior has no top atom, and its infimum is
+        # approached as m -> inf but never attained
         loss = GeneralizedQuantile(0.65, PowerLoss(1.0, 2.0), PowerLoss(0.0, 2.0))
-        m1, m2 = robust_generalized_quantile(Empirical.uniform([-1.0, 0.5, 2.0]), loss, P2, phi)
-        assert m1 == pytest.approx(2.0, abs=1e-4)
-        assert m2 == 5.0
+        rv = robust_generalized_quantile_detail(Empirical.uniform([-1.0, 0.5, 2.0]), loss, P2, phi)
+        assert rv.argmin_m == (2.0, math.inf)
+        assert rv.converged
+        with pytest.raises(NoConvergence):
+            robust_generalized_quantile(Normal(0, 1), loss, P2, phi)
+
+    def test_p1_sets_are_read_from_the_cdf(self):
+        # the pinball quantile set is [q-(tau), q+(tau)] at tau = a/(a + b);
+        # the OCE of a = 1.4, b = 0.3 takes tau = (a - 1)/(a + b) = 4/17,
+        # inside the first atom's quarter of the mass
+        four = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+        pinball = robust_generalized_quantile_detail(four, Pinball(0.25), P1, LinearPenalty(2.0))
+        assert pinball.argmin_m == (-1.0, 0.2)
+        assert robust_generalized_quantile(Normal(0, 1), Pinball(0.5), P1, LinearPenalty(2.0)) == (0.0, 0.0)
+        loss = GeneralizedQuantile(0.7, PowerLoss(2.0, 1.0), PowerLoss(1.0, 1.0))
+        oce = robust_oce(four, loss, P1, BallPenalty(0.3))
+        assert oce.argmin_m == (-1.0, -1.0)
+        assert pinball.converged and oce.converged
 
     def test_no_golden_bracket_or_edge_solver_runs(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
-            raise AssertionError("the quadratic family must not search")
+            raise AssertionError("a closed form must not search")
 
         for name in ("golden_section_min", "expand_bracket", "flat_minimum_edges"):
             monkeypatch.setattr(robust_core, name, refuse)
         restricted = SearchOptions(restrict_to_support=True)
-        losses = [AsymQuadratic(0.3), GeneralizedQuantile(0.6, PowerLoss(0.9, 2.0), PowerLoss(1.2, 2.0))]
+        quadratic = [AsymQuadratic(0.3), GeneralizedQuantile(0.6, PowerLoss(0.9, 2.0), PowerLoss(1.2, 2.0))]
+        linear = [Pinball(0.3), GeneralizedQuantile(0.4, PowerLoss(1.3, 1.0), PowerLoss(0.8, 1.0))]
+        bounded_oce = GeneralizedQuantile(0.7, PowerLoss(2.0, 1.0), PowerLoss(1.0, 1.0))
+        zero_side = GeneralizedQuantile(0.65, PowerLoss(1.0, 2.0), PowerLoss(0.0, 2.0))
         penalties = [LinearPenalty(2.5), BallPenalty(0.0), BallPenalty(0.4), SEARCHED_PENALTIES[1]]
         for d in (Normal(0.2, 1.3), StudentT(5.0, 0.1, 1.1), Exponential(1.3), random_empirical(rng, 20)):
-            for loss in losses:
-                for opt in (SearchOptions(), restricted):
+            empirical = isinstance(d, Empirical)
+            for opt in (SearchOptions(), restricted):
+                for loss in quadratic + [bounded_oce, zero_side]:
                     assert classical_oce(d, loss, opt).converged
-                    for phi in penalties:
+                for phi in penalties:
+                    for loss in quadratic:
                         oce = robust_oce(d, loss, P2, phi, opt)
                         quantile = robust_generalized_quantile_detail(d, loss, P2, phi, opt)
                         for rv in (oce, quantile):
                             assert rv.converged
                             assert rv.argmin_m[0] == rv.argmin_m[1]
+                    for loss in linear:
+                        assert robust_generalized_quantile_detail(d, loss, P1, phi, opt).converged
+                    assert robust_oce(d, bounded_oce, P1, phi, opt).converged
+                    assert robust_oce(d, zero_side, P2, phi, opt).converged
+                    if empirical:
+                        assert robust_generalized_quantile_detail(d, zero_side, P2, phi, opt).converged
+                    else:
+                        with pytest.raises(NoConvergence):
+                            robust_generalized_quantile_detail(d, zero_side, P2, phi, opt)
+                    if empirical and opt is restricted:
+                        assert robust_oce(d, Pinball(0.3), P1, phi, opt).converged
+                    else:
+                        with pytest.raises(NoConvergence, match="decreasing toward -inf on the left"):
+                            robust_oce(d, Pinball(0.3), P1, phi, opt)
             assert math.isfinite(robust_expectile_ball(d, 0.3, 0.4))
+            assert math.isfinite(expectile(d, 0.3))
+            assert math.isfinite(robust_expectile_linear(d, 0.3, 1.5))
 
 
 class TestOceAxioms:
