@@ -364,16 +364,16 @@ def _monotone_argmax(
 
 def _sorted_sup(
     loss: LossSpec, p: float, lam: float, xs: np.ndarray, radius: np.ndarray, step: np.ndarray
-) -> np.ndarray:
-    """Suprema for ascending xs with certified radii and per-atom grid steps."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Suprema and their argmax points for ascending xs with certified radii
+    and per-atom grid steps."""
     lo, hi = xs - radius, xs + radius
     grid = _shared_grid(lo, hi, float(step.min()))
     if grid is None:
         half = xs.size // 2
-        return np.concatenate([
-            _sorted_sup(loss, p, lam, xs[:half], radius[:half], step[:half]),
-            _sorted_sup(loss, p, lam, xs[half:], radius[half:], step[half:]),
-        ])
+        left = _sorted_sup(loss, p, lam, xs[:half], radius[:half], step[:half])
+        right = _sorted_sup(loss, p, lam, xs[half:], radius[half:], step[half:])
+        return np.concatenate([left[0], right[0]]), np.concatenate([left[1], right[1]])
     gain = np.asarray(loss_value(loss, grid), dtype=float)
     if np.isnan(gain).any():
         raise ValueError("loss evaluator returned NaN")
@@ -402,19 +402,21 @@ def _sorted_sup(
         best = np.maximum(best, vals[rows, j])
         a = pts[rows, np.maximum(j - 1, 0)]
         b = pts[rows, np.minimum(j + 1, cells)]
-    return best
+    return best, 0.5 * (a + b)
 
 
-def _numeric_sup(loss: LossSpec, cost: CostExponent, lam: float, xs: np.ndarray, c_eff: float) -> np.ndarray:
-    """sup_y { l(y) - lam*|x-y|^p } for every x in xs, for lam above the
-    certified growth constant c_eff.
+def _numeric_sup(
+    loss: LossSpec, cost: CostExponent, lam: float, xs: np.ndarray, c_eff: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """sup_y { l(y) - lam*|x-y|^p } and a maximizing y for every x in xs, for
+    lam above the certified growth constant c_eff.
 
     Each atom's supremum lies in a certified window [x-R, x+R].  The loss is
     evaluated once on a grid covering the union of the windows, at the
     finest spacing any single window would get (1e-3, coarser only for
     windows wider than 200 units), a monotone matrix search finds every
     atom's grid argmax, and a batched zoom refines all atoms together to a
-    relative bracket width of 1e-12.
+    relative bracket width of 1e-12, whose centre is the maximizing y.
     """
     p = cost.p
     lx = np.asarray(loss_value(loss, xs), dtype=float)
@@ -422,9 +424,9 @@ def _numeric_sup(loss: LossSpec, cost: CostExponent, lam: float, xs: np.ndarray,
     n_points = np.minimum(2.0 * radius / _GRID_STEP, _WINDOW_POINTS).astype(np.intp) + 1
     step = 2.0 * radius / (n_points - 1)
     order = np.argsort(xs, kind="stable")
-    out = np.empty(xs.size)
-    out[order] = _sorted_sup(loss, p, lam, xs[order], radius[order], step[order])
-    return out
+    sup, arg = np.empty(xs.size), np.empty(xs.size)
+    sup[order], arg[order] = _sorted_sup(loss, p, lam, xs[order], radius[order], step[order])
+    return sup, arg
 
 
 def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float) -> float:
@@ -436,7 +438,7 @@ def lambda_c_transform(loss: LossSpec, cost: CostExponent, lam: float, x: float)
         c_eff = _growth_certificate(loss, cost)
         if lam <= c_eff:
             return INF
-        return float(_numeric_sup(loss, cost, lam, np.array([float(x)]), c_eff)[0])
+        return float(_numeric_sup(loss, cost, lam, np.array([float(x)]), c_eff)[0][0])
     coef = transform_coefficients(*form, cost.p, lam)
     if coef is None:
         return INF
@@ -463,7 +465,7 @@ def lambda_c_transform_many(loss: LossSpec, cost: CostExponent, lam: float, xs) 
     c_eff = _growth_certificate(loss, cost)
     if lam <= c_eff:
         return np.full(xs.size, INF)
-    return _numeric_sup(loss, cost, lam, xs, c_eff)
+    return _numeric_sup(loss, cost, lam, xs, c_eff)[0]
 
 
 def check_L_membership(

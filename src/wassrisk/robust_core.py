@@ -10,33 +10,33 @@ certainty equivalent adds an outer minimization of m + E_phi(l, X, m).
 
 Analytic shortcuts cover the common penalty/loss pairs:
 
-* a loss with a closed form (a, b) for p = 1 (see `losses`): the transform
-  equals the loss itself on its finite range, so E_phi = E[h(X-m)] +
-  phi*(max(a, b)) for every phi;
+* cost exponent p = 1: the transform equals the loss itself from the
+  finiteness threshold on (max(a, b) for a closed form; for a custom loss,
+  convex with l <= C(1 + |x|) and so with slopes bounded by C, just above C), so
+  E_phi = E[h(X-m)] + phi* at the lower end of that range, for every phi;
 * phi* zero on its whole domain (linear phi, a ball of radius 0): the
   transform expectation is nonincreasing in lam, so the infimum sits at the
   end of that domain, the slope delta of a linear phi, or the lam -> inf
   limit of a zero radius, where only the baseline law is admissible and the
   functional collapses to the classical expectation.
 
-The quadratic family with p = 2 under a ball or piecewise penalty solves the
-first-order condition exactly (`_quadratic_argmin`): the prior enters only
-through its second partial moments at m, taken once, and the dual's slope on
-each linear piece of phi* is that piece's slope minus a decreasing function
-of lam, so the minimizer is a piece's left end or a root inside one piece.
-Every closed form takes its outer argmin set exactly (`_closed_form_argmin`):
-with p = 2 and a > 0 a root of the slope in m, which the envelope theorem
-gives in closed form; with p = 1, or a zero side, a quantile set read from
-the cdf.  The golden-section engine serves only custom losses and
-mismatched exponents: one lambda search (`_lambda_search`), a golden section
-over the feasible lambda range bracketed by doubling when the range has no
-end, inside a golden section over m.  Its bracket tolerance is
-`SearchOptions.tol`; its budgets are the `solvers` constants.
-Losses without a closed form take the transform of every atom numerically.
+Every other lambda solve walks the linear pieces of phi*: by the envelope
+theorem the dual's slope on a piece is the piece's slope minus
+G(lam) = E[|X - m - y*|^p], y* the maximizer inside the transform, and G
+decreases, so the minimizer is a piece's left end or one root inside one
+piece.  The quadratic family with p = 2 has G in closed form from the prior's
+second partial moments at m, taken once, and its own root; other losses read
+y* from the numeric supremum, one per lambda, and root with
+`solvers.increasing_root`.  Every closed form takes its outer argmin set
+exactly (`_closed_form_argmin`): with p = 2 and a > 0 a root of the slope in
+m, which the envelope theorem gives in closed form; with p = 1, or a zero
+side, a quantile set read from the cdf.  Custom losses and mismatched
+exponents search m by golden section, with the `solvers` budgets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -53,6 +53,7 @@ from .errors import Infeasible, NoConvergence
 from .losses import (
     CostExponent,
     LossSpec,
+    _numeric_sup,
     finiteness_threshold,
     lambda_c_transform_many,
     loss_value,
@@ -63,7 +64,6 @@ from .penalizations import Penalization, conjugate
 from .solvers import (
     FLAT_VALUE_TOL,
     INTERVAL_RESOLUTION,
-    MAX_DOUBLINGS,
     MAX_ITER,
     expand_bracket,
     flat_minimum_edges,
@@ -81,9 +81,10 @@ _NEWTON_RTOL = 1e-15
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Bracket tolerance of the golden sections over m and lambda (losses
-    without a closed form), and whether the outer search over m stays on
-    the support of an empirical prior."""
+    """Bracket tolerance of the golden section over m (losses without a
+    closed form), also the distance within which lambda counts as on the
+    boundary, and whether the outer search over m stays on the support of
+    an empirical prior."""
 
     tol: float = 1e-9
     restrict_to_support: bool = False
@@ -154,44 +155,6 @@ def expected_transform(
     return float(np.dot(w, t))
 
 
-def _lambda_search(
-    objective: Callable[[float], float], lam_lo: float, lam_cap: float, opt: SearchOptions
-) -> tuple[float, float, bool]:
-    """(value, argmin, boundary flag) of a convex dual objective over
-    [lam_lo, lam_cap]; an infinite cap is bracketed by doubling until the
-    objective stops decreasing."""
-    if math.isinf(lam_cap):
-        hi = lam_lo + 1.0
-        f_hi = objective(hi)
-        bracketed = False
-        for _ in range(MAX_DOUBLINGS):
-            nxt = hi * 2.0
-            f_nxt = objective(nxt)
-            if f_nxt >= f_hi:
-                hi = nxt
-                bracketed = True
-                break
-            hi, f_hi = nxt, f_nxt
-        if not bracketed:
-            raise NoConvergence("no upper lambda bracket found for the dual search")
-    else:
-        hi = lam_cap
-
-    lam_star, value, hit_cap = golden_section_min(objective, lam_lo, hi, tol=opt.tol)
-    if math.isinf(value):
-        raise Infeasible("dual objective is +inf on the whole feasible range")
-    if hit_cap:
-        raise NoConvergence("lambda search exceeded the iteration budget")
-    return value, lam_star, _on_boundary(lam_star, lam_lo, lam_cap, opt)
-
-
-def _on_boundary(lam: float, lam_lo: float, lam_cap: float, opt: SearchOptions) -> bool:
-    """Whether lam lies within 10 * tol of lam_lo or of a finite lam_cap."""
-    return (lam - lam_lo) <= 10.0 * opt.tol or (
-        not math.isinf(lam_cap) and (lam_cap - lam) <= 10.0 * opt.tol
-    )
-
-
 def _functional_detail(
     d: PriorDistribution,
     loss: LossSpec,
@@ -200,21 +163,36 @@ def _functional_detail(
     m: float,
     opt: SearchOptions,
 ) -> tuple[float, float, bool]:
-    """(value, argmin lambda, boundary flag) of the dual minimization at m."""
+    """(value, argmin lambda, boundary flag) of the dual minimization at m.
+
+    A loss without a closed form has its growth certified here, once, for
+    every numeric supremum below.  On a linear piece of phi* with slope s the
+    dual's derivative is s - G(lam), G decreasing, so the minimizer is the
+    left end of the first piece where s - G is already nonnegative (lam_lo
+    or a kink of phi*), else the root of G = s inside the piece where it
+    turns, or lam_cap when it never does."""
     form = loss.closed_form(cost.p)
     thr = finiteness_threshold(loss, cost) if form is None else max(form)
+    lam_lo = thr + 1e-8 * max(1.0, thr)
 
-    if form is not None and cost.p == 1.0:
-        # transform == loss on lam >= max(a, b) and phi* is nondecreasing,
-        # so the infimum sits exactly at the switching level
-        c = conjugate(phi, thr)
+    if cost.p == 1.0:
+        # the transform is the loss itself from the threshold on (a convex
+        # custom loss with l <= C(1 + |x|) has |l'| <= C) and phi* is
+        # nondecreasing, so the infimum sits at the lower end of the range
+        lam = thr if form is not None else lam_lo
+        c = conjugate(phi, lam)
         if math.isinf(c):
             raise Infeasible(
                 f"conjugate is +inf at the finiteness threshold {thr!r}; "
                 "the dual objective is +inf for every lambda"
             )
+        if form is None:
+            return expected_loss(d, loss, m) + c, lam, True
         a, b = form
-        return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1) + c, thr, True
+        return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1) + c, lam, True
+
+    if form is None:
+        mean, g = _numeric_dual(d, loss, cost, m, thr)
 
     if phi.conjugate_vanishes:
         # phi* is zero on its whole domain and the transform expectation is
@@ -230,9 +208,9 @@ def _functional_detail(
                 f"linear penalty slope {lam_end!r} does not exceed the "
                 f"finiteness threshold {thr!r}"
             )
-        return expected_transform(d, loss, cost, lam_end, m), lam_end, True
+        value = expected_transform(d, loss, cost, lam_end, m) if form is not None else mean(lam_end)
+        return value, lam_end, True
 
-    lam_lo = thr + 1e-8 * max(1.0, thr)
     lam_cap = phi.conjugate_domain_end()
     if lam_cap <= lam_lo:
         raise Infeasible(
@@ -249,42 +227,59 @@ def _functional_detail(
         minus = partial_moment_minus(d, m, 2)
         if not math.isfinite(a * plus + b * minus):
             raise Infeasible("dual objective is +inf on the whole feasible range")
-        lam_star = _quadratic_argmin(a, b, plus, minus, phi, lam_lo, lam_cap)
-        big_a, big_b = quad_transform_coefficients(a, b, lam_star)  # type: ignore[misc]
-        value = big_a * plus + big_b * minus + conjugate(phi, lam_star)
-        return value, lam_star, _on_boundary(lam_star, lam_lo, lam_cap, opt)
 
-    def objective(lam: float) -> float:
-        return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
+        def g(lam: float) -> float:
+            da, db = lam - a, lam - b
+            return a * a * plus / (da * da) + b * b * minus / (db * db)
 
-    return _lambda_search(objective, lam_lo, lam_cap, opt)
+        def mean(lam: float) -> float:
+            big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
+            return big_a * plus + big_b * minus
 
+        def root(slope: float, left: float, right: float) -> float:
+            return _quadratic_root(a, b, plus, minus, slope, left)
 
-def _quadratic_argmin(
-    a: float, b: float, plus: float, minus: float, phi: Penalization, lam_lo: float, lam_cap: float
-) -> float:
-    """Minimizer over [lam_lo, lam_cap] of the p = 2 closed-form dual
-    a*plus + b*minus + a^2*plus/(lam - a) + b^2*minus/(lam - b) + phi*(lam).
+    else:
 
-    On a linear piece of phi* with slope s its derivative is s - G(lam), with
-    G(lam) = a^2*plus/(lam - a)^2 + b^2*minus/(lam - b)^2 decreasing, so the
-    minimizer is the first lambda where s - G turns nonnegative: the left end
-    of the first piece where it already is there (lam_lo or a kink of phi*),
-    else the root of G = s inside the piece where it turns, or lam_cap when
-    it never does."""
-
-    def g(lam: float) -> float:
-        da, db = lam - a, lam - b
-        return a * a * plus / (da * da) + b * b * minus / (db * db)
+        def root(slope: float, left: float, right: float) -> float:
+            return increasing_root(lambda lam: slope - g(lam), left, right if right < INF else 2.0 * left)
 
     for start, end, slope in phi.conjugate_pieces():
         left, right = max(start, lam_lo), min(end, lam_cap)
         if right < left or slope < g(right):
             continue
-        if slope >= g(left):
-            return left
-        return _quadratic_root(a, b, plus, minus, slope, left)
-    return lam_cap
+        lam_star = left if slope >= g(left) else root(slope, left, right)
+        break
+    else:
+        lam_star = lam_cap
+    value = mean(lam_star)
+    if math.isinf(value):
+        raise Infeasible("dual objective is +inf on the whole feasible range")
+    # on the boundary: within 10 * tol of lam_lo or of a finite lam_cap
+    boundary = lam_star - lam_lo <= 10.0 * opt.tol or lam_cap - lam_star <= 10.0 * opt.tol
+    return value + conjugate(phi, lam_star), lam_star, boundary
+
+
+def _numeric_dual(
+    d: PriorDistribution, loss: LossSpec, cost: CostExponent, m: float, c_eff: float
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """(mean, G) at m for a loss without a closed form: E[l^{lam c}(X - m)]
+    and minus its lambda-slope G(lam) = E[|X - m - y*|^p], y* each atom's
+    maximizer, both from one numeric supremum per lambda; G(inf) = 0."""
+    xs, w = d.atoms()
+    xs = xs - m
+
+    @functools.cache
+    def sup(lam: float) -> tuple[np.ndarray, np.ndarray]:
+        return _numeric_sup(loss, cost, lam, xs, c_eff)
+
+    def mean(lam: float) -> float:  # +inf as soon as any mass maps to +inf
+        return float(np.dot(w, sup(lam)[0]))
+
+    def g(lam: float) -> float:
+        return 0.0 if math.isinf(lam) else float(np.dot(w, np.abs(xs - sup(lam)[1]) ** cost.p))
+
+    return mean, g
 
 
 def _quadratic_root(a: float, b: float, plus: float, minus: float, slope: float, lam: float) -> float:

@@ -3,10 +3,9 @@
 Golden-section search over a bracket, outward bracket expansion that
 distinguishes flat plateaus from unbounded descent, flat-minimum edge
 detection, and a monotone-root helper wrapping Brent's method.  The first
-three serve only losses without a closed form; closed forms take exact
-argmin sets in `robust_core`.  Their budgets and tolerances are the module
-constants below; only the golden section's bracket tolerance is an
-argument.
+three serve only the search over m of losses without a closed form.  Their
+budgets and tolerances are the module constants below; only the golden
+section's bracket tolerance is an argument.
 """
 
 from __future__ import annotations

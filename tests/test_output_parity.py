@@ -8,7 +8,8 @@ prior family, including an empirical prior with atoms far from 0.  The loss
 layer is pinned too: loss values, lambda-c transforms at and above the
 finiteness threshold, the thresholds themselves (or the exception raised),
 expected losses and transforms on every prior, and dual values of
-generalized-quantile and custom losses.  A case that raises is stored as
+generalized-quantile and custom losses under linear, ball and piecewise
+penalties.  A case that raises is stored as
 {"raises": <exception name>}.
 
 A change that must not move any number keeps this test passing unchanged.
@@ -86,6 +87,11 @@ PRIORS = {
 def _asym07_twin(y):
     """AsymQuadratic(0.7) as a custom evaluator."""
     return 0.7 * np.maximum(y, 0.0) ** 2 + 0.3 * np.maximum(-y, 0.0) ** 2
+
+
+def _pinball_twin(y):
+    """The p = 1 closed form (1.4, 0.3) as a custom evaluator."""
+    return 1.4 * np.maximum(y, 0.0) + 0.3 * np.maximum(-y, 0.0)
 
 
 LOSSES = {
@@ -190,19 +196,23 @@ def _loss_layer() -> dict:
             expected_transform, d, LOSSES["gq1-2"], P2, 3.0, center
         )
     emp = PRIORS["empirical"]
+    piecewise = PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0)))
+    penalties = {"linear2.5": LinearPenalty(2.5), "ball0.4": BallPenalty(0.4), "piecewise": piecewise}
     for name in ("gq1-2", "gq1.5-1.2", "custom-asym0.7"):
         for m in (-0.4, 0.5):
-            out[f"robust_functional/{name}/linear2.5/empirical/m{m!r}"] = _attempt(
-                robust_functional, emp, LOSSES[name], P2, LinearPenalty(2.5), m
-            )
+            for label, phi in penalties.items():
+                out[f"robust_functional/{name}/{label}/empirical/m{m!r}"] = _attempt(
+                    robust_functional, emp, LOSSES[name], P2, phi, m
+                )
+    out["robust_oce/custom-pinball1.4-0.3/ball0.4/empirical"] = _robust_value(
+        robust_oce(emp, CustomLoss(_pinball_twin, 1.4, 1.0), P1, BallPenalty(0.4))
+    )
     for prior in ("normal", "empirical"):
         out[f"robust_oce/gq2-2/ball0.4/{prior}"] = _robust_value(
             robust_oce(PRIORS[prior], LOSSES["gq2-2"], P2, BallPenalty(0.4))
         )
         out[f"quantile_detail/gq1-1/piecewise/{prior}"] = _robust_value(
-            robust_generalized_quantile_detail(
-                PRIORS[prior], LOSSES["gq1-1"], P1, PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0)))
-            )
+            robust_generalized_quantile_detail(PRIORS[prior], LOSSES["gq1-1"], P1, piecewise)
         )
     return out
 

@@ -36,7 +36,7 @@ from wassrisk import (
     wasserstein_1d,
 )
 
-from wassrisk import risk_measures, robust_core
+from wassrisk import losses, risk_measures, robust_core
 from wassrisk.risk_measures import robust_generalized_quantile_detail
 from wassrisk.robust_core import _functional_detail
 from wassrisk.solvers import MAX_DOUBLINGS, golden_section_min
@@ -164,9 +164,10 @@ class TestRobustFunctional:
 
 
 def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
-    """The lambda search of _functional_detail with the prior evaluated
-    through expected_transform at every lambda: same bracket, same golden
-    section, same boundary rule."""
+    """The oracle of the conjugate-piece walk in _functional_detail: a golden
+    section over the same lambda range, bracketed by doubling when the range
+    has no end, with the prior evaluated through expected_transform at every
+    lambda, and the same boundary rule."""
     thr = finiteness_threshold(loss, cost)
     lam_lo = thr + 1e-8 * max(1.0, thr)
     lam_cap = phi.conjugate_domain_end()
@@ -298,6 +299,75 @@ class TestQuadraticDualSearch:
         assert seen == {0.7 + 1e-8, 2.0, 5.0, "root"}
 
 
+QUAD_TWIN = CustomLoss(lambda y: 0.3 * np.maximum(y, 0.0) ** 2 + 0.7 * np.maximum(-y, 0.0) ** 2, 0.7, 2.0)
+NUMERIC_LOSSES = [
+    QUAD_TWIN,
+    GeneralizedQuantile(0.55, PowerLoss(1.1, 1.0), PowerLoss(0.7, 2.0)),
+    GeneralizedQuantile(0.35, PowerLoss(1.4, 1.5), PowerLoss(0.6, 1.2)),
+]
+
+
+class TestNumericDualWalk:
+    """Losses without a closed form walk the pieces of phi* too, with
+    G(lam) = E[|X - m - y*|^p] read from the numeric supremum's argmax."""
+
+    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    def test_equals_the_golden_search(self, monkeypatch, phi):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual solve must not run golden section")
+
+        sups = {"walk": 0, "golden": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                sups[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(robust_core, "golden_section_min", refuse)
+        monkeypatch.setattr(robust_core, "_numeric_sup", counting("walk", robust_core._numeric_sup))
+        monkeypatch.setattr(losses, "_numeric_sup", counting("golden", losses._numeric_sup))
+        rng = np.random.default_rng(1)
+        kinds = set()
+        for loss in NUMERIC_LOSSES:
+            d = random_empirical(rng, max_atoms=20)
+            thr = finiteness_threshold(loss, P2)
+            lam_lo = thr + 1e-8 * max(1.0, thr)
+            center, span = d.center_and_span()
+            for m in (center - 0.5 * span, center + 0.3 * span):
+                sups.update(walk=0, golden=0)
+                value, lam, _ = _functional_detail(d, loss, P2, phi, m, SearchOptions())
+                scale = max(1.0, abs(value))
+                if lam == lam_lo:
+                    # the golden search crawls near the floor, where each
+                    # supremum covers a window of about 1e8: check instead
+                    # that the dual objective does not fall to its right
+                    kinds.add("floor")
+                    to_the_right = lam_lo + 1e-3
+                    dual = expected_transform(d, loss, P2, to_the_right, m) + conjugate(phi, to_the_right)
+                    assert dual >= value - 1e-12 * scale, (loss, m)
+                    continue
+                kinds.add("interior")
+                golden, golden_lam, _ = _reference_detail(d, loss, P2, phi, m)
+                assert -1e-12 * scale <= golden - value <= 1e-10 * scale, (loss, m)
+                assert lam == pytest.approx(golden_lam, abs=1e-6)
+                assert sups["walk"] <= sups["golden"], (loss, m, sups)
+        assert kinds == {"floor", "interior"}
+
+    @pytest.mark.parametrize("phi", [LinearPenalty(2.5), BallPenalty(0.4)])
+    def test_growth_certified_once_per_solve(self, monkeypatch, phi):
+        calls = []
+        check = CustomLoss.check_growth_bound
+        monkeypatch.setattr(CustomLoss, "check_growth_bound", lambda self: calls.append(check(self)))
+        d = random_empirical(np.random.default_rng(1), max_atoms=20)
+        for loss, cost in ((QUAD_TWIN, P2), (PLUS_PART, P1)):
+            for m in (-0.4, 0.5):
+                calls.clear()
+                assert math.isfinite(robust_functional(d, loss, cost, phi, m))
+                assert len(calls) == 1
+
+
 class TestRobustOce:
     def test_piecewise_on_exponential_next_to_zero_converges(self):
         # an argmin a few 1e-6 above 0: the exponential's lower partial
@@ -416,11 +486,10 @@ class TestRobustOce:
         assert rv.converged
         assert abs(rv.value - self._grid_minimum(d, loss, phi, rv.argmin_m)) <= 1e-9
 
-    # a custom loss under a ball of positive radius or a piecewise penalty
-    # searches lambda with a numeric transform per probe, about 1.5 s per
-    # dual solve near its threshold; these two penalties take the end of the
-    # conjugate's domain without a search
-    @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.0)])
+    # under p = 1 the custom loss's transform is the loss itself above its
+    # growth constant, so every penalty takes the floor of the lambda range
+    # without a supremum: each case takes well under a second
+    @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.0), *SEARCHED_PENALTIES])
     @pytest.mark.parametrize("loc", [0.2, 1e6 + 0.2])
     def test_not_converged_off_the_minimum(self, monkeypatch, loc, phi):
         # golden path: a custom twin of the p = 1 closed form with
