@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from .distributions import (
@@ -348,8 +349,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use: parsing keeps no state
+    in it between calls, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

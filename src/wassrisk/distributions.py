@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Union
+import warnings
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -29,22 +30,48 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DISCRETIZE_N = 2001
 
 
-@dataclass(frozen=True)
 class Empirical:
     """Finite discrete law given as (value, weight) atoms.
 
-    Atoms are stored sorted ascending; exact duplicate values are merged by
-    summing their weights.  Weights must be strictly positive and sum to 1
-    within 1e-12 (small deviations are renormalized, larger ones rejected).
+    The state is two arrays, the values sorted ascending and their weights:
+    exact duplicate values are merged by summing their weights.  Weights must
+    be strictly positive and sum to 1 within 1e-12 (small deviations are
+    renormalized, larger ones rejected).  `Empirical(points)` takes
+    (value, weight) pairs and `Empirical.from_arrays(values, weights)` two
+    arrays; `points`, the atoms as pairs, is derived on first use.
+    Instances are immutable; equality and hashing are those of `points`, so
+    an atom at -0.0 equals one at 0.0.
     """
 
-    points: tuple[tuple[float, float], ...]
+    finite_support = True  # finitely many atoms, within `support`
+    _x: np.ndarray  # the values, strictly increasing
+    _w: np.ndarray  # their weights
+    _cw: np.ndarray  # cumulative weights, the last set to 1
+    _head: tuple[np.ndarray, np.ndarray, np.ndarray]  # gap sums from the left
+    _tail: tuple[np.ndarray, np.ndarray, np.ndarray]  # gap sums from the right
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: Sequence[tuple[float, float]]) -> None:
+        self.__post_init__(
+            np.array([float(v) for v, _ in points]), np.array([float(w) for _, w in points])
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, values: np.ndarray | Sequence[float], weights: np.ndarray | Sequence[float]
+    ) -> "Empirical":
+        """The law with atoms values[i] of weight weights[i], from two
+        one-dimensional arrays (or sequences) of one length."""
+        x, w = np.asarray(values, dtype=float), np.asarray(weights, dtype=float)
+        if x.ndim != 1 or x.shape != w.shape:
+            raise ValueError("empirical values and weights must be 1-D arrays of one length")
+        d = cls.__new__(cls)
+        d.__post_init__(x, w)
+        return d
+
+    def __post_init__(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """Check and normalize the atoms; every constructor ends here."""
+        if values.size == 0:
             raise ValueError("empirical distribution needs at least one atom")
-        values = np.array([float(v) for v, _ in self.points])
-        weights = np.array([float(w) for _, w in self.points])
         if not np.all(np.isfinite(values)):
             raise ValueError("empirical values must be finite")
         if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
@@ -62,7 +89,9 @@ class Empirical:
         start = np.concatenate(([True], values[1:] != values[:-1]))
         x = values[start]
         w = np.bincount(np.cumsum(start) - 1, weights=weights)
-        object.__setattr__(self, "points", tuple(zip(x.tolist(), w.tolist())))
+        # values and weights hand these arrays out: read-only keeps the law,
+        # its equality and its hash fixed
+        x.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_w", w)
         cw = np.cumsum(w)
@@ -77,58 +106,82 @@ class Empirical:
 
     @classmethod
     def uniform(cls, values: Iterable[float]) -> "Empirical":
-        vals = [float(v) for v in values]
-        if not vals:
+        x = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+        if x.size == 0:
             raise ValueError("empirical distribution needs at least one atom")
-        w = 1.0 / len(vals)
-        return cls(tuple((v, w) for v in vals))
+        return cls.from_arrays(x, np.full(x.size, 1.0 / x.size))
+
+    @cached_property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The atoms as (value, weight) pairs, ascending."""
+        return tuple(zip(self._x.tolist(), self._w.tolist()))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._x, other._x) and np.array_equal(self._w, other._w)
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"Empirical(points={self.points!r})"
 
     @property
     def values(self) -> np.ndarray:
-        return self._x  # type: ignore[attr-defined]
+        return self._x
 
     @property
     def weights(self) -> np.ndarray:
-        return self._w  # type: ignore[attr-defined]
+        return self._w
 
     @property
     def support(self) -> tuple[float, float]:
-        return float(self._x[0]), float(self._x[-1])  # type: ignore[attr-defined]
+        return float(self._x[0]), float(self._x[-1])
 
+    # each atom moves by the same float operation; the constructor re-sorts
+    # (a negative factor reverses the order) and re-merges (a large shift
+    # can round atoms together)
     def shift(self, c: float) -> "Empirical":
-        return Empirical(tuple((v + c, w) for v, w in self.points))
+        return Empirical.from_arrays(self._x + c, self._w)
 
     def scale(self, t: float) -> "Empirical":
-        return Empirical(tuple((v * t, w) for v, w in self.points))
+        return Empirical.from_arrays(self._x * t, self._w)
 
     def negate(self) -> "Empirical":
-        return Empirical(tuple((-v, w) for v, w in self.points))
+        return Empirical.from_arrays(-self._x, self._w)
 
     def upper_partial_moment(self, m: float, power: int) -> float:
-        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
-        if i == len(self._x):  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="right"))
+        if i == len(self._x):
             return 0.0
-        return _about_atom(self._tail, i, float(self._x[i]) - m, power)  # type: ignore[attr-defined]
+        return _about_atom(self._tail, i, float(self._x[i]) - m, power)
 
     def lower_partial_moment(self, m: float, power: int) -> float:
-        i = int(np.searchsorted(self._x, m, side="right")) - 1  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="right")) - 1
         if i < 0:
             return 0.0
-        return _about_atom(self._head, i, m - float(self._x[i]), power)  # type: ignore[attr-defined]
+        return _about_atom(self._head, i, m - float(self._x[i]), power)
 
     def expected_value(self) -> float:
-        return float(np.dot(self._x, self._w))  # type: ignore[attr-defined]
+        return float(np.dot(self._x, self._w))
 
     def second_moments_finite(self) -> bool:
         return True
 
     def ppf(self, alpha: float) -> float:
-        i = int(np.searchsorted(self._cw, alpha, side="left"))  # type: ignore[attr-defined]
-        return float(self._x[min(i, len(self._x) - 1)])  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._cw, alpha, side="left"))
+        return float(self._x[min(i, len(self._x) - 1)])
 
     def cdf(self, m: float) -> float:
-        i = int(np.searchsorted(self._x, m, side="right"))  # type: ignore[attr-defined]
-        return float(self._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="right"))
+        return float(self._cw[i - 1]) if i > 0 else 0.0
 
     def prob_above(self, m: float) -> float:
         """P(X > m)."""
@@ -136,11 +189,11 @@ class Empirical:
 
     def prob_below(self, m: float) -> float:
         """P(X < m)."""
-        i = int(np.searchsorted(self._x, m, side="left"))  # type: ignore[attr-defined]
-        return float(self._cw[i - 1]) if i > 0 else 0.0  # type: ignore[attr-defined]
+        i = int(np.searchsorted(self._x, m, side="left"))
+        return float(self._cw[i - 1]) if i > 0 else 0.0
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self._x, size=n, p=self._w)  # type: ignore[attr-defined]
+        return rng.choice(self._x, size=n, p=self._w)
 
     def center_and_span(self) -> tuple[float, float]:
         """A location and a positive length scale where outer searches start."""
@@ -150,17 +203,17 @@ class Empirical:
     def quantile_set(self, tau: float) -> tuple[float, float]:
         """[q-(tau), q+(tau)] for tau in [0, 1]: every m with P(X < m) <= tau
         <= P(X <= m), a ray past the support's end at tau = 0 or 1."""
-        x = self._x  # type: ignore[attr-defined]
+        x = self._x
         if tau <= 0.0:
             return -math.inf, float(x[0])
         if tau >= 1.0:
             return float(x[-1]), math.inf
-        j = int(np.searchsorted(self._cw, tau, side="right"))  # type: ignore[attr-defined]
+        j = int(np.searchsorted(self._cw, tau, side="right"))
         return self.ppf(tau), float(x[min(j, len(x) - 1)])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) that sums over atoms use for this law."""
-        return self._x, self._w  # type: ignore[attr-defined]
+        return self._x, self._w
 
 
 def _gap_sums(cw: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +240,7 @@ class _Parametric:
     discretization as their atoms."""
 
     lower_end = -math.inf  # of the support
+    finite_support = False
 
     def second_moments_finite(self) -> bool:
         return True
@@ -455,7 +509,52 @@ def sample(d: PriorDistribution, n: int, seed: int) -> np.ndarray:
 def empirical_from_csv(path: str) -> Empirical:
     """Load atoms from CSV rows `value[,weight]`; a missing weight column
     means uniform weights.  A single non-numeric leading row is treated as a
-    header and skipped."""
+    header and skipped.  A plain numeric file is parsed in one NumPy pass;
+    any other (quoted cells, blank rows, a bad or missing cell) goes through
+    a loop over the rows, which also forms every error message."""
+    columns = _csv_columns(path)
+    values, weights = columns if columns is not None else _csv_rows(path)
+    if weights is None:
+        return Empirical.uniform(values)
+    total = sum(weights.tolist())
+    if total <= 0:
+        raise ValueError(f"{path}: weights must sum to a positive number")
+    with np.errstate(all="ignore"):  # quiet as float division: inf or nan fail below
+        weights = weights / total
+    return Empirical.from_arrays(values, weights)
+
+
+def _csv_columns(path: str) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+    """(values, weights or None) by one np.loadtxt pass over the lines after
+    an optional header, or None when that pass fails or the first line is
+    blank or quoted.  float() accepts every token np.loadtxt does, with the
+    same value, so a file this reads the row loop reads alike (but for
+    csv's limit of 131072 characters to a cell)."""
+    with open(path, newline="") as handle:
+        head = handle.readline()
+        cell = head.split(",", 1)[0]
+        if not cell.strip() or '"' in head:
+            return None
+        try:
+            float(cell)
+            skip = 0
+        except ValueError:
+            skip = 1
+        handle.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a header alone
+            try:
+                table = np.loadtxt(handle, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+            except ValueError:
+                return None
+    if table.size == 0:
+        return None
+    return table[:, 0], (table[:, 1] if table.shape[1] > 1 else None)
+
+
+def _csv_rows(path: str) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(values, weights or None) row by row, raising at the first bad cell
+    with its row number."""
     values: list[float] = []
     weights: list[float] = []
     with open(path, newline="") as handle:
@@ -479,12 +578,7 @@ def empirical_from_csv(path: str) -> Empirical:
                 raise ValueError(f"{path}: row {lineno}: bad weight {row[1]!r}") from exc
     if weights and len(weights) != len(values):
         raise ValueError(f"{path}: weight column must be present on every row or absent")
-    if not weights:
-        return Empirical.uniform(values)
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError(f"{path}: weights must sum to a positive number")
-    return Empirical(tuple((v, w / total) for v, w in zip(values, weights)))
+    return np.array(values), (np.array(weights) if weights else None)
 
 
 def prior_from_json(spec: Union[str, dict]) -> PriorDistribution:
@@ -506,8 +600,7 @@ def prior_from_json(spec: Union[str, dict]) -> PriorDistribution:
                 scale=float(obj.get("scale", 1.0)),
             )
         if family == "empirical":
-            pts = obj["points"]
-            return Empirical(tuple((float(v), float(w)) for v, w in pts))
+            return Empirical(obj["points"])
     except KeyError as exc:
         raise ValueError(f"prior JSON missing field {exc.args[0]!r} for family {family!r}") from exc
     raise ValueError(f"unknown prior family {family!r}")

@@ -70,7 +70,7 @@ def _threshold_extreme(x: np.ndarray, p: np.ndarray, rho: float) -> float:
 
 def dual_expectile_max(d: Empirical, band: DensityBand, direction: str = "max") -> float:
     """Extreme of E_Q[X] over the density band around the empirical baseline."""
-    if not isinstance(d, Empirical):
+    if not getattr(d, "finite_support", False):
         raise TypeError("the density-band oracle is defined for empirical baselines")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -88,7 +88,7 @@ def wasserstein_1d(a: Empirical, b: Empirical, cost: CostExponent) -> float:
     This is the un-rooted cost (the p-Wasserstein distance to the power p),
     computed as a finite sum over the merged weight partition.
     """
-    if not isinstance(a, Empirical) or not isinstance(b, Empirical):
+    if not (getattr(a, "finite_support", False) and getattr(b, "finite_support", False)):
         raise TypeError("wasserstein_1d is defined for empirical measures")
     cwa = np.cumsum(a.weights)
     cwb = np.cumsum(b.weights)

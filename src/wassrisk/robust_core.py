@@ -44,7 +44,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distributions import (
-    Empirical,
     PriorDistribution,
     partial_moment_minus,
     partial_moment_plus,
@@ -411,7 +410,7 @@ def _solve_outer(
     center, span = d.center_and_span()
     if phi is not None:
         f(center)  # raise Infeasible before any search
-    restricted = opt.restrict_to_support and isinstance(d, Empirical)
+    restricted = opt.restrict_to_support and d.finite_support
     lo, hi = d.support if restricted else (-INF, INF)
     hit_cap = False
     if form is not None:

@@ -48,7 +48,7 @@ def _random_empirical(rng: np.random.Generator, max_atoms: int = 40) -> Empirica
     w = rng.dirichlet(np.ones(n))
     w = np.maximum(w, 1e-9)
     w = w / w.sum()
-    return Empirical(tuple(zip(vals.tolist(), w.tolist())))
+    return Empirical.from_arrays(vals, w)
 
 
 def _random_coupled(
@@ -64,10 +64,6 @@ def _random_coupled(
     x = rng.normal(0.0, 2.0, n)
     y = rng.normal(0.5, 1.5, n)
     return x, y, w
-
-
-def _emp(values: np.ndarray, weights: np.ndarray) -> Empirical:
-    return Empirical(tuple(zip(values.tolist(), weights.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +91,8 @@ def _check_oce_monotone(seed: int) -> tuple[bool, str]:
     for k in range(20):
         x, _, w = _random_coupled(rng)
         bump = rng.uniform(0.0, 2.0, len(x))
-        lo = robust_oce(_emp(x, w), rising, P2, LinearPenalty(2.0)).value
-        hi = robust_oce(_emp(x + bump, w), rising, P2, LinearPenalty(2.0)).value
+        lo = robust_oce(Empirical.from_arrays(x, w), rising, P2, LinearPenalty(2.0)).value
+        hi = robust_oce(Empirical.from_arrays(x + bump, w), rising, P2, LinearPenalty(2.0)).value
         if lo > hi + 1e-9:
             return False, f"case {k}: dominated input got larger value {lo!r} > {hi!r}"
     return True, "20 dominated pairs"
@@ -107,9 +103,10 @@ def _check_oce_convexity(seed: int) -> tuple[bool, str]:
     for k in range(20):
         x, y, w = _random_coupled(rng)
         t = float(rng.uniform(0.1, 0.9))
-        vx = robust_oce(_emp(x, w), AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
-        vy = robust_oce(_emp(y, w), AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
-        vm = robust_oce(_emp(t * x + (1 - t) * y, w), AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
+        vx = robust_oce(Empirical.from_arrays(x, w), AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
+        vy = robust_oce(Empirical.from_arrays(y, w), AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
+        mix = Empirical.from_arrays(t * x + (1 - t) * y, w)
+        vm = robust_oce(mix, AsymQuadratic(0.7), P2, LinearPenalty(2.0)).value
         if vm > t * vx + (1.0 - t) * vy + 1e-7:
             return False, f"case {k}: mixture value {vm!r} above chord"
     return True, "20 pointwise mixtures"
@@ -145,15 +142,17 @@ def _check_coherence(seed: int) -> tuple[bool, str]:
     alpha, d1 = 0.75, 2.0
     for k in range(40):
         x, y, w = _random_coupled(rng)
-        ex = robust_expectile_linear(_emp(x, w), alpha, d1)
-        ey = robust_expectile_linear(_emp(y, w), alpha, d1)
+        ex = robust_expectile_linear(Empirical.from_arrays(x, w), alpha, d1)
+        ey = robust_expectile_linear(Empirical.from_arrays(y, w), alpha, d1)
         shift = float(rng.uniform(-3, 3))
-        if abs(robust_expectile_linear(_emp(x + shift, w), alpha, d1) - (ex + shift)) > 1e-8:
+        moved = robust_expectile_linear(Empirical.from_arrays(x + shift, w), alpha, d1)
+        if abs(moved - (ex + shift)) > 1e-8:
             return False, f"case {k}: translation failed"
         for t in (0.5, 2.0, 7.0):
-            if abs(robust_expectile_linear(_emp(t * x, w), alpha, d1) - t * ex) > 1e-8 * max(1, t):
+            scaled = robust_expectile_linear(Empirical.from_arrays(t * x, w), alpha, d1)
+            if abs(scaled - t * ex) > 1e-8 * max(1, t):
                 return False, f"case {k}: homogeneity failed at t={t}"
-        if robust_expectile_linear(_emp(x + y, w), alpha, d1) > ex + ey + 1e-8:
+        if robust_expectile_linear(Empirical.from_arrays(x + y, w), alpha, d1) > ex + ey + 1e-8:
             return False, f"case {k}: subadditivity failed"
     return True, "40 coupled pairs: translation, homogeneity, subadditivity"
 
@@ -187,9 +186,7 @@ def _check_weak_duality(seed: int) -> tuple[bool, str]:
     base = _random_empirical(rng, max_atoms=12)
     for k in range(60):
         jitter = rng.normal(0.0, 0.3, len(base.values))
-        mu = Empirical(
-            tuple((v + float(j), w) for (v, w), j in zip(base.points, jitter))
-        )
+        mu = Empirical.from_arrays(base.values + jitter, base.weights)
         m = float(rng.uniform(-2.0, 2.0))
         for loss, cost in ((Pinball(0.3), P1), (AsymQuadratic(0.7), P2)):
             for phi in (LinearPenalty(2.0), BallPenalty(0.4)):

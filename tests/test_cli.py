@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import wassrisk
-from wassrisk import Exponential, expectile
+from wassrisk import Exponential, cli, expectile
 from wassrisk.cli import main, parse_grid, parse_prior_spec
 
 
@@ -327,3 +327,35 @@ class TestVerify:
         code1, out1, _ = run(capsys, "verify", "reductions", "--seed", "11")
         code2, out2, _ = run(capsys, "verify", "reductions", "--seed", "11")
         assert (code1, out1) == (code2, out2)
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch, tmp_path):
+    # each call must print and write what it does on a freshly built parser,
+    # after earlier calls set other flags, failed, or ran another command
+    samples, out = tmp_path / "atoms.csv", tmp_path / "sweep.csv"
+    samples.write_text("value,weight\n-1.0,0.25\n0.5,0.5\n2.0,0.25\n")
+    calls = [
+        ["measure", "oce", "--loss", "asym-quadratic", "--restrict-support", "--penalty", "ball",
+         "--delta", "0.5", "--alpha", "0.7", "--samples", str(samples)],
+        ["measure", "var", "--prior", "normal:0,1", "--alpha", "0.5", "--bogus"],
+        ["sweep", "--prior", "exponential:1", "--penalty", "linear", "--alpha", "0.3,0.7",
+         "--delta", "1:3:1", "--out", str(out)],
+        ["verify", "reductions", "--seed", "3"],
+        ["measure", "quantile", "--penalty", "linear", "--delta", "2", "--alpha", "0.7",
+         "--samples", str(samples)],
+    ]
+
+    def call(argv):
+        out.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    cli._parser.cache_clear()
+    for argv in calls:
+        reused = call(argv)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            assert call(argv) == reused, argv
+    assert [r[0] for r in map(call, calls)] == [0, 1, 0, 0, 0]
+    assert cli._parser.cache_info().misses == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -19,9 +21,10 @@ from wassrisk import (
     quantile,
     sample,
 )
-from wassrisk.distributions import cdf
+from wassrisk.distributions import _csv_columns, cdf
 
 from conftest import random_empirical
+from reference_csv import reference_empirical_from_csv
 
 FAIR_COIN = Empirical(((0.0, 0.5), (1.0, 0.5)))
 
@@ -79,6 +82,61 @@ class TestConstruction:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             Empirical(((0.0, 0.0), (1.0, 1.0)))
+
+    def test_atom_transforms_match_a_rebuild_from_points(self, rng):
+        def bits(d):
+            return [v.hex() for v in d.values.tolist()], [w.hex() for w in d.weights.tolist()]
+
+        # atoms 1 apart sit below the spacing of doubles near 1e16, so that
+        # shift rounds them together and the rebuild must merge them
+        cases = [Empirical(tuple((float(k), 0.125) for k in range(8))), FAIR_COIN]
+        cases += [random_empirical(rng, max_atoms=60) for _ in range(40)]
+        for d in cases:
+            for c in (0.5, -3.25, 1e9, 1e16):
+                assert bits(d.shift(c)) == bits(Empirical(tuple((v + c, w) for v, w in d.points)))
+            for t in (2.5, -1.5, -1.0, 1e-300):
+                assert bits(d.scale(t)) == bits(Empirical(tuple((v * t, w) for v, w in d.points)))
+            assert bits(d.negate()) == bits(Empirical(tuple((-v, w) for v, w in d.points)))
+        assert len(cases[0].shift(1e16).values) < 8
+
+    def test_array_constructor_equals_the_pair_constructor(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 50))
+            values, weights = rng.integers(-5, 6, n) * 0.5, rng.dirichlet(np.ones(n))
+            pairs = tuple(zip(values.tolist(), weights.tolist()))
+            d, twin = Empirical(pairs), Empirical.from_arrays(values, weights)
+            assert twin == d and hash(twin) == hash(d) == hash((d.points,))
+        # -0.0 and 0.0 are one atom value, as in tuple equality and hashing
+        neg = Empirical(((-0.0, 0.5), (1.0, 0.5)))
+        pos = Empirical.from_arrays(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        assert neg == pos and hash(neg) == hash(pos)
+        assert Empirical.from_arrays([0.0, 1.0], [0.25, 0.75]) != pos
+        assert Empirical.from_arrays([1.0], [1.0]) != pos
+        with pytest.raises(ValueError, match="read-only"):
+            pos.values[0] = 2.0
+        with pytest.raises(AttributeError):
+            pos._x = np.array([2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (),
+            ((0.0, 0.5), (math.inf, 0.5)),
+            ((0.0, 0.5), (math.nan, 0.5)),
+            ((0.0, 0.0), (1.0, 1.0)),
+            ((0.0, -0.5), (1.0, 1.5)),
+            ((0.0, math.nan), (1.0, 1.0)),
+            ((0.0, 0.5), (1.0, 0.6)),
+        ],
+    )
+    def test_array_constructor_rejects_like_the_pair_constructor(self, points):
+        with pytest.raises(ValueError) as pairs:
+            Empirical(points)
+        values = np.array([v for v, _ in points], dtype=float)
+        weights = np.array([w for _, w in points], dtype=float)
+        with pytest.raises(ValueError) as arrays:
+            Empirical.from_arrays(values, weights)
+        assert str(arrays.value) == str(pairs.value)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -295,6 +353,55 @@ class TestSampling:
             sample(FAIR_COIN, 0, seed=1)
 
 
+def _load_outcome(load, path: str):
+    """The law bit for bit, or the error, that loading `path` gives."""
+    try:
+        d = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        [v.hex() for v in d.values.tolist()],
+        [w.hex() for w in d.weights.tolist()],
+        [(v.hex(), w.hex()) for v, w in d.points],
+    )
+
+
+NUMBER = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-1000, 1000).map(str))
+ODD = st.sampled_from(["1_000", "nan", "inf", "-Infinity", "-0.0", "+1.5", ".5", "1e3", " 2.5 ", "\t7"])
+WEIGHT = st.floats(1e-3, 10.0).map(repr)
+EDITS = ("none", "none", "odd value", "bad value", "odd weight", "missing weight", "blank row", "quoted")
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of 1-20 rows, with or without weights and a header, one
+    line ending, and at most one edit on a drawn row."""
+    weighted = draw(st.booleans())
+    rows = [
+        [draw(NUMBER)] + ([draw(WEIGHT)] if weighted else [])
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    k = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(EDITS))
+    if edit == "odd value":
+        rows[k][0] = draw(ODD)
+    elif edit == "bad value":
+        rows[k][0] = draw(st.sampled_from(["abc", "1.2.3", "1e", "--1", "0x10", "#1", ""]))
+    elif edit == "odd weight":
+        rows[k][1:] = [draw(st.sampled_from(["x", "0", "-1", "nan", "inf", "1e", "2_0", " 0.5"]))]
+    elif edit == "missing weight":
+        rows[k] = rows[k][:1] + ([" "] if draw(st.booleans()) else []) if weighted else rows[k] + ["1"]
+    elif edit == "quoted":
+        rows[k][0] = f'"{rows[k][0]}"'
+    lines = [",".join(row) for row in rows]
+    if edit == "blank row":
+        lines.insert(k, draw(st.sampled_from(["", "  ", ",,", " , "])))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["value,weight", "x", '"value"'])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + (eol if draw(st.booleans()) else "")
+
+
 class TestParsing:
     def test_csv_with_weights(self, tmp_path):
         path = tmp_path / "atoms.csv"
@@ -315,6 +422,37 @@ class TestParsing:
         path.write_text("1.0\nnope\n")
         with pytest.raises(ValueError, match="row 2"):
             empirical_from_csv(str(path))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(text=csv_texts())
+    def test_csv_loader_matches_the_row_loop(self, text, tmp_path_factory):
+        path = str(tmp_path_factory.getbasetemp() / "property.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        assert _load_outcome(empirical_from_csv, path) == _load_outcome(reference_empirical_from_csv, path)
+
+    @pytest.mark.parametrize(
+        "text, one_pass",
+        [
+            ("value,weight\r\n1.0,0.2\r\n2.0,0.8\r\n", True),
+            ("2.5", True),
+            ("x\n3\n\n1\n2\n", True),
+            ("1,0.5,7\n2,0.5,8\n", True),
+            ("\n1\n2\n", False),
+            ('"1"\n2\n', False),
+            ("1\n,,\n2\n", False),
+            ("1\n1_000\n", False),
+            ("1\n#2\n3\n", False),
+            ("value\n", False),
+        ],
+    )
+    def test_csv_one_pass_takes_plain_files(self, tmp_path, text, one_pass):
+        path = tmp_path / "atoms.csv"
+        path.write_bytes(text.encode())
+        assert (_csv_columns(str(path)) is not None) == one_pass
+        assert _load_outcome(empirical_from_csv, str(path)) == _load_outcome(
+            reference_empirical_from_csv, str(path)
+        )
 
     def test_json_families(self):
         assert prior_from_json('{"family": "normal", "mean": 0, "stddev": 2}') == Normal(0, 2)
