@@ -9,6 +9,7 @@ byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from functools import cache
@@ -119,7 +120,7 @@ def _build_prior(args: argparse.Namespace) -> PriorDistribution:
     if getattr(args, "samples", None):
         try:
             return empirical_from_csv(args.samples)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, csv.Error) as exc:
             raise UsageError(f"invalid --samples: {exc}")
     if getattr(args, "prior_file", None):
         try:

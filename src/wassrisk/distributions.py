@@ -158,13 +158,13 @@ class Empirical:
         return Empirical.from_arrays(-self._x, self._w)
 
     def upper_partial_moment(self, m: float, power: int) -> float:
-        i = int(np.searchsorted(self._x, m, side="right"))
+        i = int(self._x.searchsorted(m, side="right"))
         if i == len(self._x):
             return 0.0
         return _about_atom(self._tail, i, float(self._x[i]) - m, power)
 
     def lower_partial_moment(self, m: float, power: int) -> float:
-        i = int(np.searchsorted(self._x, m, side="right")) - 1
+        i = int(self._x.searchsorted(m, side="right")) - 1
         if i < 0:
             return 0.0
         return _about_atom(self._head, i, m - float(self._x[i]), power)
@@ -176,11 +176,11 @@ class Empirical:
         return True
 
     def ppf(self, alpha: float) -> float:
-        i = int(np.searchsorted(self._cw, alpha, side="left"))
+        i = int(self._cw.searchsorted(alpha, side="left"))
         return float(self._x[min(i, len(self._x) - 1)])
 
     def cdf(self, m: float) -> float:
-        i = int(np.searchsorted(self._x, m, side="right"))
+        i = int(self._x.searchsorted(m, side="right"))
         return float(self._cw[i - 1]) if i > 0 else 0.0
 
     def prob_above(self, m: float) -> float:
@@ -189,7 +189,7 @@ class Empirical:
 
     def prob_below(self, m: float) -> float:
         """P(X < m)."""
-        i = int(np.searchsorted(self._x, m, side="left"))
+        i = int(self._x.searchsorted(m, side="left"))
         return float(self._cw[i - 1]) if i > 0 else 0.0
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -208,7 +208,7 @@ class Empirical:
             return -math.inf, float(x[0])
         if tau >= 1.0:
             return float(x[-1]), math.inf
-        j = int(np.searchsorted(self._cw, tau, side="right"))
+        j = int(self._cw.searchsorted(tau, side="right"))
         return self.ppf(tau), float(x[min(j, len(x) - 1)])
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:

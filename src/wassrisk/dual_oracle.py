@@ -100,7 +100,7 @@ def wasserstein_1d(a: Empirical, b: Empirical, cost: CostExponent) -> float:
         if width <= 0.0:
             continue
         u_mid = 0.5 * (u0 + u1)
-        qa = a.values[min(int(np.searchsorted(cwa, u_mid, side="left")), len(a.values) - 1)]
-        qb = b.values[min(int(np.searchsorted(cwb, u_mid, side="left")), len(b.values) - 1)]
+        qa = a.values[min(int(cwa.searchsorted(u_mid, side="left")), len(a.values) - 1)]
+        qb = b.values[min(int(cwb.searchsorted(u_mid, side="left")), len(b.values) - 1)]
         total += width * abs(float(qa) - float(qb)) ** cost.p
     return total

@@ -261,6 +261,7 @@ _GRID_STEP = 1e-3  # finest spacing of the argmax grid
 _WINDOW_POINTS = 200_001  # a wider window gets a coarser spacing
 _GRID_CAP = 1 << 19  # points per shared grid; atom sets needing more are split
 _ZOOM_BUDGET = 4096  # points per refinement round, spread over the atoms
+_FLAT = 4.0 * np.finfo(float).eps  # relative value spread of a bracket flat to rounding
 
 
 def _cost(d: np.ndarray, p: float) -> np.ndarray:
@@ -362,11 +363,47 @@ def _monotone_argmax(
     return arg, best
 
 
+def _envelope_argmax(
+    gain: np.ndarray, grid: np.ndarray, xs: np.ndarray, lam: float, first: np.ndarray, last: np.ndarray
+) -> Optional[np.ndarray]:
+    """Leftmost argmax of every row of gain[j] - lam*(xs[i] - grid[j])^2 in
+    columns first[i]..last[i], or None where h = gain - lam*grid^2 is not
+    strictly concave on the grid.
+
+    A row is h[j] + 2*lam*xs[i]*grid[j] up to a constant, so it rises from
+    column j to j + 1 exactly while the chord slope (h[j+1] - h[j]) /
+    (grid[j+1] - grid[j]) exceeds -2*lam*xs[i].  With finite, strictly
+    decreasing chord slopes the leftmost argmax is the number of slopes above
+    that level, one binary search per row, and a row's argmax inside its
+    window is that count clipped to the window (the discrete Legendre
+    transform: Lucet 1997; Felzenszwalb & Huttenlocher 2012).
+    """
+    h = grid * grid
+    h *= -lam
+    h += gain
+    slope = h[1:] - h[:-1]
+    slope /= grid[1:] - grid[:-1]
+    if not np.isfinite(slope).all():
+        return None
+    np.negative(slope, out=slope)
+    if not (slope[1:] > slope[:-1]).all():
+        return None
+    k = slope.searchsorted(2.0 * lam * xs)
+    return np.clip(k, first, last, out=k)
+
+
 def _sorted_sup(
     loss: LossSpec, p: float, lam: float, xs: np.ndarray, radius: np.ndarray, step: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Suprema and their argmax points for ascending xs with certified radii
-    and per-atom grid steps."""
+    and per-atom grid steps.
+
+    The grid argmax comes from the envelope pass (`_envelope_argmax`) under
+    p = 2 with more than one atom, and from the divide and conquer
+    (`_monotone_argmax`) for p != 2, a single atom (where that search is
+    already one pass) or a grid where gain - lam*grid^2 is not strictly
+    concave.  Both give the same column and row maximum, bit for bit, but
+    where two grid values of a row tie to rounding."""
     lo, hi = xs - radius, xs + radius
     grid = _shared_grid(lo, hi, float(step.min()))
     if grid is None:
@@ -377,13 +414,17 @@ def _sorted_sup(
     gain = np.asarray(loss_value(loss, grid), dtype=float)
     if np.isnan(gain).any():
         raise ValueError("loss evaluator returned NaN")
-    first = np.searchsorted(grid, lo, side="left")
-    last = np.searchsorted(grid, hi, side="right") - 1
-    k, best = _monotone_argmax(gain, grid, xs, lam, p, first, last)
+    first = grid.searchsorted(lo, side="left")
+    last = grid.searchsorted(hi, side="right") - 1
+    k = _envelope_argmax(gain, grid, xs, lam, first, last) if p == 2.0 and xs.size > 1 else None
+    if k is None:
+        k, best = _monotone_argmax(gain, grid, xs, lam, p, first, last)
+    else:
+        best = gain[k] - lam * _cost(grid[k] - xs, p)
 
     # zoom on [y_{k-1}, y_{k+1}]: every round evaluates a local grid of
     # `cells` cells per atom in one loss call and keeps the two cells around
-    # its argmax, until the bracket is below 1e-12 relative.  About
+    # its argmax, at most until the bracket is below 1e-12 relative.  About
     # _ZOOM_BUDGET points a round balance the per-round overhead against the
     # points evaluated: few atoms take few wide rounds, many take narrow ones.
     a = np.maximum(grid[np.maximum(k - 1, 0)], lo)
@@ -399,9 +440,18 @@ def _sorted_sup(
         vals = np.asarray(loss_value(loss, pts.ravel()), dtype=float).reshape(pts.shape)
         vals -= lam * _cost(pts - xs[:, None], p)
         j = np.argmax(vals, axis=1)
-        best = np.maximum(best, vals[rows, j])
-        a = pts[rows, np.maximum(j - 1, 0)]
-        b = pts[rows, np.minimum(j + 1, cells)]
+        jl, jr = np.maximum(j - 1, 0), np.minimum(j + 1, cells)
+        top = vals[rows, j]
+        best = np.maximum(best, top)
+        a, b = pts[rows, jl], pts[rows, jr]
+        # stop once the kept bracket is flat to rounding for every atom: a
+        # smooth maximum gets there near sqrt(eps) relative width, where the
+        # values no longer place y*; a kinked one zooms on to the last round,
+        # and so does a row of +inf values (inf - inf is NaN, never flat)
+        with np.errstate(invalid="ignore"):
+            drop = np.maximum(top - vals[rows, jl], top - vals[rows, jr])
+        if (drop <= _FLAT * np.maximum(1.0, np.abs(top))).all():
+            break
     return best, 0.5 * (a + b)
 
 
@@ -414,9 +464,13 @@ def _numeric_sup(
     Each atom's supremum lies in a certified window [x-R, x+R].  The loss is
     evaluated once on a grid covering the union of the windows, at the
     finest spacing any single window would get (1e-3, coarser only for
-    windows wider than 200 units), a monotone matrix search finds every
-    atom's grid argmax, and a batched zoom refines all atoms together to a
-    relative bracket width of 1e-12, whose centre is the maximizing y.
+    windows wider than 200 units).  Every atom's grid argmax comes from one
+    envelope pass under p = 2 when the loss minus lam*y^2 is strictly concave
+    on the grid, and from a monotone matrix search otherwise.  A batched zoom
+    then refines all atoms together and stops at the first round where every
+    atom's bracket is flat to rounding (both neighbours of its best point
+    within 4*eps*max(1, |best|) of it), or at a relative bracket width of
+    1e-12, whichever comes first; the bracket's centre is the maximizing y.
     """
     p = cost.p
     lx = np.asarray(loss_value(loss, xs), dtype=float)

@@ -122,6 +122,15 @@ class TestMeasure:
         )
         assert code == 3
 
+    def test_oversized_csv_cell_is_a_usage_error(self, capsys, tmp_path):
+        # a non-numeric cell past csv's field limit (131072 characters) used
+        # to escape as a _csv.Error traceback
+        path = tmp_path / "big.csv"
+        path.write_text("1.0\n" + "x" * 200_001 + "\n2.0\n")
+        code, out, err = run(capsys, "measure", "var", "--alpha", "0.5", "--samples", str(path))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--samples" in err and "field limit" in err
+
     def test_cost_exponent_is_the_losses_own(self, capsys, tmp_path):
         # measure takes the cost exponent from the loss, so --cost-p is a
         # usage error: asym-quadratic under p = 1 can only be a domain error

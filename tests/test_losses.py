@@ -19,6 +19,7 @@ from wassrisk import (
     lambda_c_transform_many,
     loss_value,
 )
+from wassrisk import losses as L
 
 from reference_sup import reference_sup
 
@@ -244,6 +245,84 @@ class TestBatchedTransform:
         hole = CustomLoss(lambda y: np.where((y > 60.0) & (y < 70.0), np.nan, np.maximum(y, 0.0)), 1.0, 1.0)
         with pytest.raises(ValueError):
             lambda_c_transform_many(hole, P1, 2.0, [59.0])
+
+
+class TestEnvelopeArgmax:
+    """Under p = 2 the chord-slope argmax replaces the divide and conquer
+    whenever gain - lam*grid^2 is strictly concave on the grid; there it must
+    give the same columns and row maxima bit for bit."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Runs the divide and conquer beside every envelope argmax the
+        supremum computes; records (grid pieces, None) for a fallback."""
+        seen = []
+        envelope = L._envelope_argmax
+
+        def both(gain, grid, xs, lam, first, last):
+            k = envelope(gain, grid, xs, lam, first, last)
+            gaps = np.diff(grid)
+            pieces = 1 + int(np.count_nonzero(gaps > 2.0 * gaps.min()))
+            if k is None:
+                seen.append((pieces, None))
+                return k
+            k_dc, best_dc = L._monotone_argmax(gain, grid, xs, lam, 2.0, first, last)
+            best = gain[k] - lam * L._cost(grid[k] - xs, 2.0)
+            seen.append((pieces, (k.tolist() == k_dc.tolist(), best.tobytes() == best_dc.tobytes())))
+            return k
+
+        monkeypatch.setattr(L, "_envelope_argmax", both)
+        return seen
+
+    def test_random_atoms_with_duplicates(self, rng, compared):
+        for _ in range(4):
+            a = float(rng.uniform(0.1, 0.9))
+            loss = power_custom(a, 1.0 - a, 2.0)
+            xs = rng.normal(0.0, 2.0, int(rng.integers(10, 200)))
+            xs[3:9] = xs[0]  # duplicates, left unsorted
+            for margin in (1e-3, 0.05, 4.0):
+                lambda_c_transform_many(loss, P2, max(a, 1.0 - a) + margin, xs)
+        # a margin of 1e-3 needs windows wide enough to split the grid
+        assert len(compared) > 12
+        assert all(match == (True, True) for _, match in compared)
+
+    def test_far_atoms_give_several_grid_pieces(self, rng, compared):
+        loss = quad_custom(0.35)
+        xs = np.concatenate([c + rng.uniform(-0.5, 0.5, 6) for c in (-300.0, -20.0, 40.0, 900.0)])
+        for lam in (0.65 + 0.05, 5.0, 50.0):
+            got = lambda_c_transform_many(loss, P2, lam, xs)
+            want = [lambda_c_transform(AsymQuadratic(0.35), P2, lam, float(x)) for x in xs]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert all(match == (True, True) for _, match in compared)
+        assert max(pieces for pieces, _ in compared) >= 4
+
+    def test_convex_kink_takes_the_divide_and_conquer(self, rng, compared, monkeypatch):
+        # h(y) = a*y^+ + b*(y^-)^2 has a convex kink at 0, so gain - lam*grid^2
+        # is not concave on the grid
+        loss = GeneralizedQuantile(0.4, PowerLoss(1.0, 1.0), PowerLoss(1.0, 2.0))
+        xs = rng.uniform(-3.0, 3.0, 12)
+        lam = finiteness_threshold(loss, P2) + 0.6
+        got = lambda_c_transform_many(loss, P2, lam, xs)
+        assert [match for _, match in compared] == [None]
+        monkeypatch.setattr(L, "_envelope_argmax", lambda *args: None)
+        assert got.tobytes() == lambda_c_transform_many(loss, P2, lam, xs).tobytes()
+        np.testing.assert_allclose(got, reference_many(loss, P2, lam, xs), rtol=0.0, atol=1e-9)
+
+    def test_zoom_stops_on_a_flat_bracket(self):
+        # loss points per call: the growth certificate's grid, the atoms, the
+        # shared grid, then one round of 512 cells + 1 per atom at a time
+        # until the kept bracket is flat to rounding: 2 rounds where the
+        # round limit, a bracket of 1e-12 relative, would take 4
+        sizes = []
+
+        def h(y):
+            sizes.append(np.size(y))
+            return 0.3 * np.maximum(y, 0.0) ** 2 + 0.7 * np.maximum(-y, 0.0) ** 2
+
+        got = lambda_c_transform_many(CustomLoss(h, 0.7, 2.0), P2, 1.5, np.linspace(-2.0, 2.0, 8))
+        assert sizes == [1005, 8, 20001, 8 * 513, 8 * 513]
+        want = [lambda_c_transform(AsymQuadratic(0.3), P2, 1.5, float(x)) for x in np.linspace(-2.0, 2.0, 8)]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 class TestCustomLossEquality:
