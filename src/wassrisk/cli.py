@@ -154,15 +154,6 @@ def _require_alpha(args: argparse.Namespace) -> float:
     return args.alpha
 
 
-def _search_options(args: argparse.Namespace) -> SearchOptions:
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
-    if getattr(args, "restrict_support", False):
-        kwargs["restrict_to_support"] = True
-    return SearchOptions(**kwargs)
-
-
 def _fmt(v: float) -> str:
     return f"{v:.12f}"
 
@@ -176,20 +167,20 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if kind == "expectile":
         print(_fmt(expectile(d, _require_alpha(args))))
         return EXIT_OK
+    opt = SearchOptions(restrict_to_support=args.restrict_support)
     if kind == "robust-expectile":
         alpha = _require_alpha(args)
         phi = _build_penalty(args)
         if isinstance(phi, LinearPenalty):
             print(_fmt(robust_expectile_linear(d, alpha, phi.delta)))
         else:
-            print(_fmt(robust_expectile_ball(d, alpha, phi.delta, _search_options(args))))
+            print(_fmt(robust_expectile_ball(d, alpha, phi.delta, opt)))
         return EXIT_OK
     alpha = _require_alpha(args)
     phi = _build_penalty(args)
     loss = Pinball(alpha) if args.loss == "pinball" else AsymQuadratic(alpha)
     # the cost exponent is the loss's own: 1 for pinball, 2 for asym-quadratic
     cost = CostExponent(loss.growth_bound()[1])
-    opt = _search_options(args)
     if kind == "oce":
         rv = robust_oce(d, loss, cost, phi, opt)
         print(_fmt(rv.value))
@@ -202,16 +193,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return EXIT_OK if rv.converged else EXIT_INFEASIBLE
 
 
-def _sweep_point(
-    d: PriorDistribution, penalty: str, alpha: float, delta: float, opt: SearchOptions
-) -> tuple[float, int]:
+def _sweep_point(d: PriorDistribution, penalty: str, alpha: float, delta: float) -> tuple[float, int]:
     """(robust expectile, objective evaluation count) for one grid point."""
     if penalty == "linear":
         level = ExpectileLevel(alpha, delta)
         return _asymmetric_root_stats(d, level.coefficient_plus, level.coefficient_minus)
     if delta == 0.0:
         return expectile(d, alpha), 1
-    value, _, evals = _ball_stats(d, alpha, delta, opt)
+    value, _, evals = _ball_stats(d, alpha, delta)
     return value, evals
 
 
@@ -230,7 +219,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError(f"{name} grid must be strictly increasing")
     if args.out is None:
         raise UsageError("--out is required for sweeps")
-    opt = _search_options(args)
 
     # the classical columns depend on alpha alone: each is computed once, on
     # the first row that needs it, and a failure is remembered as None
@@ -256,7 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 continue
             row = (alpha, delta, math.nan, math.nan, math.nan, math.nan, 0, False)
             try:
-                robust, iters = _sweep_point(d, args.penalty, alpha, delta, opt)
+                robust, iters = _sweep_point(d, args.penalty, alpha, delta)
             except _ROW_ERRORS:
                 rows.append(row)
                 continue
@@ -316,7 +304,6 @@ def build_parser() -> _Parser:
         p.add_argument("--prior-file", help="JSON file with a prior spec")
         p.add_argument("--samples", help="CSV of atoms: value[,weight] per row")
         p.add_argument("--seed", type=int, default=0, help="seed for seeded procedures")
-        p.add_argument("--tol", type=float, help="override solver tolerances")
 
     m = sub.add_parser("measure", help="compute a single risk measure")
     m.add_argument(

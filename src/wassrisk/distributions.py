@@ -183,14 +183,13 @@ class Empirical:
         i = int(self._x.searchsorted(m, side="right"))
         return float(self._cw[i - 1]) if i > 0 else 0.0
 
-    def prob_above(self, m: float) -> float:
-        """P(X > m)."""
-        return max(1.0 - self.cdf(m), 0.0)
+    def mass_above(self, m: float) -> bool:
+        """Whether any atom lies above m."""
+        return m < float(self._x[-1])
 
-    def prob_below(self, m: float) -> float:
-        """P(X < m)."""
-        i = int(self._x.searchsorted(m, side="left"))
-        return float(self._cw[i - 1]) if i > 0 else 0.0
+    def mass_below(self, m: float) -> bool:
+        """Whether any atom lies below m."""
+        return m > float(self._x[0])
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self._x, size=n, p=self._w)
@@ -245,11 +244,13 @@ class _Parametric:
     def second_moments_finite(self) -> bool:
         return True
 
-    def prob_above(self, m: float) -> float:
-        return 1.0
+    def mass_above(self, m: float) -> bool:
+        """Whether X > m has positive probability."""
+        return True
 
-    def prob_below(self, m: float) -> float:
-        return 1.0
+    def mass_below(self, m: float) -> bool:
+        """Whether X < m has positive probability."""
+        return True
 
     def quantile_set(self, tau: float) -> tuple[float, float]:
         """[q-(tau), q+(tau)]: one point for tau in (0, 1), the ray below the
@@ -364,8 +365,8 @@ class Exponential(_Parametric):
     def cdf(self, m: float) -> float:
         return 0.0 if m < 0.0 else -math.expm1(-self.rate * m)
 
-    def prob_below(self, m: float) -> float:
-        return 0.0 if m <= 0.0 else 1.0
+    def mass_below(self, m: float) -> bool:
+        return m > 0.0
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=n)

@@ -30,8 +30,10 @@ y* from the numeric supremum, one per lambda, and root with
 `solvers.increasing_root`.  Every closed form takes its outer argmin set
 exactly (`_closed_form_argmin`): with p = 2 and a > 0 a root of the slope in
 m, which the envelope theorem gives in closed form; with p = 1, or a zero
-side, a quantile set read from the cdf.  Custom losses and mismatched
-exponents search m by golden section, with the `solvers` budgets.
+side, a quantile set read from the cdf.  Each certifies itself: a set read
+from the cdf is exact, and a root holds the sign bracket of its own slope
+evaluations.  Custom losses and mismatched exponents search m by golden
+section, with the `solvers` budgets, and certify it by one-sided steps.
 """
 
 from __future__ import annotations
@@ -71,21 +73,21 @@ from .solvers import (
 )
 
 INF = math.inf
+_EPS = float(np.finfo(float).eps)
 
-# the largest slope the convergence certificate accepts outside the argmin
+# the largest slope the golden path's certificate accepts outside the argmin
 FOC_TOL = 1e-5
+# how close to an end of its range lambda is flagged boundary_lambda
+BOUNDARY_GAP = 1e-8
 # a Newton step this small relative to lambda ends the exact lambda solve
 _NEWTON_RTOL = 1e-15
 
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Bracket tolerance of the golden section over m (losses without a
-    closed form), also the distance within which lambda counts as on the
-    boundary, and whether the outer search over m stays on the support of
-    an empirical prior."""
+    """Whether the outer search over m stays on the support of an empirical
+    prior."""
 
-    tol: float = 1e-9
     restrict_to_support: bool = False
 
 
@@ -113,11 +115,11 @@ def _partial_moment_sum(d: PriorDistribution, big_a: float, big_b: float, p: flo
     """A*E[((X - m)^+)^p] + B*E[((X - m)^-)^p]; an infinite side leaves a
     finite value only when it holds no mass."""
     if math.isinf(big_a):
-        if d.prob_above(m) > 0.0:
+        if d.mass_above(m):
             return INF
         return big_b * partial_moment_minus(d, m, p)
     if math.isinf(big_b):
-        if d.prob_below(m) > 0.0:
+        if d.mass_below(m):
             return INF
         return big_a * partial_moment_plus(d, m, p)
     return big_a * partial_moment_plus(d, m, p) + big_b * partial_moment_minus(d, m, p)
@@ -160,7 +162,6 @@ def _functional_detail(
     cost: CostExponent,
     phi: Penalization,
     m: float,
-    opt: SearchOptions,
 ) -> tuple[float, float, bool]:
     """(value, argmin lambda, boundary flag) of the dual minimization at m.
 
@@ -254,8 +255,7 @@ def _functional_detail(
     value = mean(lam_star)
     if math.isinf(value):
         raise Infeasible("dual objective is +inf on the whole feasible range")
-    # on the boundary: within 10 * tol of lam_lo or of a finite lam_cap
-    boundary = lam_star - lam_lo <= 10.0 * opt.tol or lam_cap - lam_star <= 10.0 * opt.tol
+    boundary = lam_star - lam_lo <= BOUNDARY_GAP or lam_cap - lam_star <= BOUNDARY_GAP
     return value + conjugate(phi, lam_star), lam_star, boundary
 
 
@@ -313,15 +313,12 @@ def robust_functional(
     cost: CostExponent,
     phi: Penalization,
     m: float,
-    options: Optional[SearchOptions] = None,
 ) -> float:
     """inf over lam >= 0 of E[l^{lam c}(X - m)] + phi*(lam).
 
     Raises Infeasible when the objective is +inf for every lambda.
     """
-    opt = options or SearchOptions()
-    value, _, _ = _functional_detail(d, loss, cost, phi, float(m), opt)
-    return value
+    return _functional_detail(d, loss, cost, phi, float(m))[0]
 
 
 def _closed_form_argmin(
@@ -333,28 +330,46 @@ def _closed_form_argmin(
     slope: Callable[[float], float],
     lo: float = -INF,
     hi: float = INF,
-) -> tuple[float, float]:
-    """The exact argmin set [m1, m2] over [lo, hi] of shift*m + g(m), g the
-    expectation or robust functional of the closed form (a, b) under cost
-    exponent p, whose derivative in m is `slope`.  Under p = 2 with a > 0
-    (and b > 0 or a shift) it is one point: an end of a finite [lo, hi]
-    where the slope points inward, else the slope's root taken in
-    z = m - centre.  Otherwise it is [q-(tau), q+(tau)] at
-    tau = (a - shift)/(a + b), clipped to [lo, hi]: with p = 1 the slope is
-    shift - a + (a + b)*F(m), and a zero side under p = 2 is minimal where
-    its one partial moment vanishes, a ray past the support (tau = 0 or 1).
-    Raises NoConvergence when the set has no finite point.
+) -> tuple[float, float, bool]:
+    """(m1, m2, certified): the exact argmin set [m1, m2] over [lo, hi] of
+    shift*m + g(m), g the expectation or robust functional of the closed
+    form (a, b) under cost exponent p, whose derivative in m is `slope`.
+    Under p = 2 with a > 0 (and b > 0 or a shift) it is one point: an end
+    of a finite [lo, hi] where the slope points inward, else the slope's
+    root taken in z = m - centre, which stops at m's own resolution and is
+    certified when it lies in the sign bracket of the slope evaluations
+    (the largest m with slope <= 0 to the smallest with slope >= 0), no
+    wider than that stopping width plus the rounding of centre + z.
+    Otherwise it is [q-(tau), q+(tau)] at tau = (a - shift)/(a + b),
+    clipped to [lo, hi]: with p = 1 the slope is shift - a + (a + b)*F(m),
+    and a zero side under p = 2 is minimal where its one partial moment
+    vanishes, a ray past the support (tau = 0 or 1).  Every set but the
+    root is exact.  Raises NoConvergence when the set has no finite point.
     """
     if p == 2.0 and a > 0.0 and (b > 0.0 or shift):
         if lo > -INF and slope(lo) >= 0.0:
-            return lo, lo
+            return lo, lo, True
         if hi < INF and slope(hi) <= 0.0:
-            return hi, hi
+            return hi, hi, True
         center, span = d.center_and_span()
-        if not shift and d.prob_above(center) == d.prob_below(center) == 0.0:
-            return center, center
-        m = center + increasing_root(lambda z: slope(center + z), -span, span)
-        return m, m
+        if not shift and not (d.mass_above(center) or d.mass_below(center)):
+            return center, center, True
+        xtol = max(1e-14, 2.0 * math.ulp(center))  # Brent's least step, xtol/2, moves m
+        bracket = [-INF, INF]
+
+        def signed(z: float) -> float:
+            m = center + z
+            s = slope(m)
+            if s <= 0.0:
+                bracket[0] = max(bracket[0], m)
+            if s >= 0.0:
+                bracket[1] = min(bracket[1], m)
+            return s
+
+        z = increasing_root(signed, -span, span, xtol)
+        m = center + z
+        width = xtol + 4.0 * _EPS * (abs(z) + abs(m))
+        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width
     if a + b == 0.0:  # a zero loss: the slope is the shift alone
         tau, m1, m2 = (-INF, -INF, -INF) if shift else (0.5, -INF, INF)
     else:
@@ -364,7 +379,7 @@ def _closed_form_argmin(
     if m1 == m2 and math.isinf(m1):
         fall = "approaches its infimum" if 0.0 <= tau <= 1.0 else "keeps decreasing toward -inf"
         raise NoConvergence(f"objective {fall} on the {'left' if m1 < 0.0 else 'right'}")
-    return m1, m2
+    return m1, m2, True
 
 
 def _solve_outer(
@@ -382,11 +397,11 @@ def _solve_outer(
     is None) takes its exact set from `_closed_form_argmin`, a quantile set
     or the root of the slope [1 if add_m] - 2*A*P1+(m) + 2*B*P1-(m), with
     (A, B) the transform coefficients at the dual's lambda*(m) (Danskin's
-    theorem).  Custom losses and mismatched exponents run golden section in
-    a bracket grown by doubling and locate the edges of a flat bottom.  Both
-    certify convergence by one-sided slopes outside the reported interval.
-    (value, lambda, boundary) is memoised per m, so lambda at the minimizer
-    is read back.
+    theorem), certified by that solve itself.  Custom losses and mismatched
+    exponents run golden section in a bracket grown by doubling, locate the
+    edges of a flat bottom and certify them by one-sided slopes outside the
+    reported interval.  (value, lambda, boundary) is memoised per m, so
+    lambda at the minimizer is read back.
     """
     opt = options or SearchOptions()
     seen: dict[float, tuple[float, float, bool]] = {}
@@ -398,7 +413,7 @@ def _solve_outer(
             if phi is None:
                 seen[m] = (expected_loss(d, loss, m), math.nan, False)
             else:
-                seen[m] = _functional_detail(d, loss, cost, phi, m, opt)  # type: ignore[arg-type]
+                seen[m] = _functional_detail(d, loss, cost, phi, m)  # type: ignore[arg-type]
         return m + seen[m][0] if add_m else seen[m][0]
 
     def slope(m: float) -> float:
@@ -412,38 +427,39 @@ def _solve_outer(
         f(center)  # raise Infeasible before any search
     restricted = opt.restrict_to_support and d.finite_support
     lo, hi = d.support if restricted else (-INF, INF)
-    hit_cap = False
     if form is not None:
-        m1, m2 = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi)
+        m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi)
         m_star = m1 if m1 > -INF else (m2 if m2 < INF else center)
         f_min = f(m_star)
     else:
         bracket = (lo, hi, False, False) if restricted else expand_bracket(f, center - span, center + span)
         lo, hi, flat_left, flat_right = bracket
-        m_star, f_min, hit_cap = golden_section_min(f, lo, hi, tol=opt.tol)
+        m_star, f_min, hit_cap = golden_section_min(f, lo, hi)
         m1, m2 = flat_minimum_edges(f, m_star, f_min, lo, hi)
         if flat_left and m1 <= lo + INTERVAL_RESOLUTION:
             m1 = lo
         if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
             m2 = hi
-    # one step h outside either end, the objective must not fall by more than
-    # a slope of FOC_TOL or 2 * FLAT_VALUE_TOL, the objective's own accuracy
-    # (partial moments with noise near 1e-10, an atom just past an edge)
-    h = max(INTERVAL_RESOLUTION, 10.0 * opt.tol)
-    left_ok = right_ok = True
-    if m1 - h > lo:
-        fall = f(m1) - f(m1 - h)
-        left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
-    if m2 + h < hi:
-        fall = f(m2) - f(m2 + h)
-        right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
+        # one step h outside either end, the objective must not fall by more
+        # than a slope of FOC_TOL or 2 * FLAT_VALUE_TOL, the objective's own
+        # accuracy (partial moments with noise near 1e-10, an atom just past
+        # an edge)
+        h = INTERVAL_RESOLUTION
+        left_ok = right_ok = True
+        if m1 - h > lo:
+            fall = f(m1) - f(m1 - h)
+            left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
+        if m2 + h < hi:
+            fall = f(m2) - f(m2 + h)
+            right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
+        converged = not hit_cap and left_ok and right_ok
     _, lam_star, boundary = seen[m_star]
     return RobustValue(
         value=f_min,
         argmin_m=(m1, m2),
         argmin_lambda=lam_star,
         evaluations=len(seen),
-        converged=(not hit_cap) and left_ok and right_ok,
+        converged=converged,
         boundary_lambda=boundary,
     )
 

@@ -5,7 +5,7 @@ distinguishes flat plateaus from unbounded descent, flat-minimum edge
 detection, and a monotone-root helper wrapping Brent's method.  The first
 three serve only the search over m of losses without a closed form.  Their
 budgets and tolerances are the module constants below; only the golden
-section's bracket tolerance is an argument.
+section's bracket tolerance and the root's stopping width are arguments.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def flat_minimum_edges(
     return min(m1, x_star), max(m2, x_star)
 
 
-def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a nondecreasing f, expanding [lo, hi] until it brackets zero."""
+def increasing_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-14) -> float:
+    """Root of a nondecreasing f, expanding [lo, hi] until it brackets zero;
+    Brent's method stops at a bracket xtol + 4*eps*|x| wide."""
     lo, hi = float(lo), float(hi)
     if hi < lo:
         lo, hi = hi, lo
@@ -183,4 +184,4 @@ def increasing_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return lo
     if f_hi == 0.0:
         return hi
-    return float(brentq(f, lo, hi, xtol=1e-14, maxiter=200))
+    return float(brentq(f, lo, hi, xtol=xtol, maxiter=200))

@@ -296,16 +296,6 @@ class TestSweep:
         assert zero.endswith(",true")
         assert half.endswith(",false") and "nan" in half
 
-    def test_tol_flag_accepted(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "measure", "oce", "--loss", "asym-quadratic", "--penalty", "ball",
-            "--delta", "0.4", "--alpha", "0.7", "--prior", "normal:0,1",
-            "--tol", "1e-7",
-        )
-        assert code == 0
-        float(out.strip())
-
     def test_decreasing_grid_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -1,4 +1,4 @@
-"""Translation equivariance of the robust measures, as properties.
+"""Translation and scale equivariance of the robust measures, as properties.
 
 Shifting the prior by c shifts a robust OCE value, a robust generalized
 quantile's minimizer, the classical and linear robust expectiles and both
@@ -7,6 +7,10 @@ ends of the pinball quantile interval by c, at any magnitude.  The properties ru
 priors drawn by Hypothesis (derandomized, so every run checks the same
 examples).  Near 1e9 the shifted atoms themselves round to about 6e-8, which
 the tolerance 1e-8 + 2e-15*|c| allows for.
+
+Scaling the prior by s, with the ball radius scaled by s^2 (the cost
+exponent is 2), scales the ball robust expectile and the quadratic robust
+generalized quantile's minimizer by s, and both stay certified.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from wassrisk import (
     PiecewiseLinearPenalty,
     Pinball,
     expectile,
+    robust_expectile_ball,
     robust_expectile_linear,
     robust_oce,
 )
@@ -83,3 +88,21 @@ def test_shift_moves_the_expectiles_and_the_pinball_interval(c, atoms, alpha, de
     assert q_base.converged and q_moved.converged
     for m_moved, m_base in zip(q_moved.argmin_m, q_base.argmin_m):
         assert abs((m_moved - c) - m_base) <= tol
+
+
+@pytest.mark.parametrize("s", [1e3, 1e6])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(atoms=ATOMS, alpha=st.floats(0.1, 0.9), delta=st.floats(0.05, 2.0))
+def test_scale_moves_the_ball_expectile_and_minimizer_by_the_scale(s, atoms, alpha, delta):
+    # the scaled atoms round to s * x within a relative eps, so the results
+    # agree to a relative 1e-12 of their magnitude
+    d = _prior(atoms)
+    scaled = d.scale(s)
+    base = robust_expectile_ball(d, alpha, delta)  # raises NoConvergence unless certified
+    assert abs(robust_expectile_ball(scaled, alpha, delta * s * s) - s * base) <= 1e-12 * s * (1.0 + abs(base))
+    loss = AsymQuadratic(alpha)
+    m_base = robust_generalized_quantile_detail(d, loss, P2, BallPenalty(delta))
+    m_scaled = robust_generalized_quantile_detail(scaled, loss, P2, BallPenalty(delta * s * s))
+    assert m_base.converged and m_scaled.converged
+    m = m_base.argmin_m[0]
+    assert abs(m_scaled.argmin_m[0] - s * m) <= 1e-12 * s * (1.0 + abs(m))

@@ -287,7 +287,7 @@ class TestRobustExpectileBall:
         ms = []
         detail = robust_core._functional_detail
         monkeypatch.setattr(
-            robust_core, "_functional_detail", lambda d, *args: ms.append(args[-2]) or detail(d, *args)
+            robust_core, "_functional_detail", lambda d, *args: ms.append(args[-1]) or detail(d, *args)
         )
         for d, alpha, radius in ((Normal(0, 1), 0.75, 0.5), (THREE, 0.2, 0.1), (Exponential(1.0), 0.1, 2.0)):
             ms.clear()
@@ -296,8 +296,9 @@ class TestRobustExpectileBall:
             assert got == robust_expectile_ball(d, alpha, radius)
 
     def test_failed_certificate_raises(self, monkeypatch):
-        # a minimizer moved off the root fails the one-sided certificate,
-        # and the ball expectile raises instead of returning it
+        # a minimizer moved off the root lies outside the sign bracket of
+        # the root's slope evaluations, and the ball expectile raises
+        # instead of returning it
         root = robust_core.increasing_root
         assert math.isfinite(robust_expectile_ball(Normal(0, 1), 0.75, 0.5))
         monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)

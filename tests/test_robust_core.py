@@ -20,6 +20,7 @@ from wassrisk import (
     PiecewiseLinearPenalty,
     Pinball,
     PowerLoss,
+    RiskModelError,
     SearchOptions,
     StudentT,
     classical_oce,
@@ -27,6 +28,8 @@ from wassrisk import (
     expected_transform,
     expectile,
     finiteness_threshold,
+    partial_moment_minus,
+    partial_moment_plus,
     penalty_evaluate,
     robust_expectile_ball,
     robust_expectile_linear,
@@ -37,8 +40,9 @@ from wassrisk import (
 )
 
 from wassrisk import losses, risk_measures, robust_core
+from wassrisk.losses import quad_transform_coefficients
 from wassrisk.risk_measures import robust_generalized_quantile_detail
-from wassrisk.robust_core import _functional_detail
+from wassrisk.robust_core import BOUNDARY_GAP, _functional_detail
 from wassrisk.solvers import MAX_DOUBLINGS, golden_section_min
 
 from conftest import coupled_arrays, emp, random_empirical
@@ -163,7 +167,7 @@ class TestRobustFunctional:
         assert expected_transform(Normal(0, 1), AsymQuadratic(alpha), P2, alpha, 0.0) == math.inf
 
 
-def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
+def _reference_detail(d, loss, cost, phi, m):
     """The oracle of the conjugate-piece walk in _functional_detail: a golden
     section over the same lambda range, bracketed by doubling when the range
     has no end, with the prior evaluated through expected_transform at every
@@ -187,9 +191,9 @@ def _reference_detail(d, loss, cost, phi, m, opt=SearchOptions()):
             hi, f_hi = nxt, f_nxt
     else:
         hi = lam_cap
-    lam_star, value, _ = golden_section_min(objective, lam_lo, hi, tol=opt.tol)
-    boundary = (lam_star - lam_lo) <= 10.0 * opt.tol or (
-        not math.isinf(lam_cap) and (hi - lam_star) <= 10.0 * opt.tol
+    lam_star, value, _ = golden_section_min(objective, lam_lo, hi)
+    boundary = (lam_star - lam_lo) <= BOUNDARY_GAP or (
+        not math.isinf(lam_cap) and (hi - lam_star) <= BOUNDARY_GAP
     )
     return value, lam_star, boundary
 
@@ -238,7 +242,7 @@ class TestQuadraticDualSearch:
         d = Normal(0.3, 1.2)
         for m in (-2.0, 0.1, 3.0):
             calls.update({"plus": 0, "minus": 0, "lambda": 0})
-            value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m, SearchOptions())
+            value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m)
             assert math.isfinite(value)
             assert calls["plus"] == calls["minus"] == 1
             assert calls["lambda"] <= len(phi.conjugate_pieces()) + 2
@@ -264,7 +268,7 @@ class TestQuadraticDualSearch:
                 lam_lo = max(a, b) + 1e-8
                 for m in center + span * np.array([-2.5, -0.7, 0.0, 0.4, 3.0]):
                     m = float(m)
-                    value, lam, _ = _functional_detail(d, loss, P2, phi, m, SearchOptions())
+                    value, lam, _ = _functional_detail(d, loss, P2, phi, m)
                     golden, _, _ = _reference_detail(d, loss, P2, phi, m)
                     scale = max(1.0, abs(value))
                     assert -1e-12 * scale <= golden - value <= 1e-10 * scale, (d, alpha, m)
@@ -278,7 +282,7 @@ class TestQuadraticDualSearch:
     def test_tiny_radius_gives_the_classical_expectation(self):
         # lambda* near 5e149: the root's terms are scaled to stay near 1
         d, loss = Normal(0.0, 1.0), AsymQuadratic(0.3)
-        value, lam, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0, SearchOptions())
+        value, lam, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0)
         assert lam > 1e149
         assert value == pytest.approx(robust_core.expected_loss(d, loss, 0.0), rel=1e-12)
 
@@ -291,7 +295,7 @@ class TestQuadraticDualSearch:
         d = Empirical.uniform([-0.5, -0.1, 0.2, 0.5])
         seen = set()
         for m in np.linspace(-15.0, 3.0, 181):
-            value, lam, _ = _functional_detail(d, loss, P2, phi, float(m), SearchOptions())
+            value, lam, _ = _functional_detail(d, loss, P2, phi, float(m))
             seen.add(lam if lam in (0.7 + 1e-8, 2.0, 5.0) else "root")
             golden, _, _ = _reference_detail(d, loss, P2, phi, float(m))
             scale = max(1.0, abs(value))
@@ -337,7 +341,7 @@ class TestNumericDualWalk:
             center, span = d.center_and_span()
             for m in (center - 0.5 * span, center + 0.3 * span):
                 sups.update(walk=0, golden=0)
-                value, lam, _ = _functional_detail(d, loss, P2, phi, m, SearchOptions())
+                value, lam, _ = _functional_detail(d, loss, P2, phi, m)
                 scale = max(1.0, abs(value))
                 if lam == lam_lo:
                     # the golden search crawls near the floor, where each
@@ -523,6 +527,36 @@ class TestRobustOce:
         assert not rv.converged
 
     @pytest.mark.parametrize(
+        "d, alpha, phi",
+        [
+            (Normal(0.3, 1.7), 1e-6, LinearPenalty(2.0)),
+            (Normal(0.3, 1.7), 1e-6, BallPenalty(0.5)),
+            (Normal(0.3, 1.7), 0.7, LinearPenalty(0.7 * (1.0 + 1e-9))),
+            (Normal(0.3, 1.7), 0.3, LinearPenalty(0.7 * (1.0 + 1e-9))),
+            (StudentT(2.0 + 1e-6), 0.3, LinearPenalty(2.0)),
+            (StudentT(2.0 + 1e-9), 0.3, LinearPenalty(2.0)),
+            (StudentT(2.0 + 1e-6), 0.7, BallPenalty(0.5)),
+            (StudentT(2.0 + 1e-9), 0.7, BallPenalty(0.5)),
+            (StudentT(2.0 + 1e-9), 0.7, SEARCHED_PENALTIES[1]),
+        ],
+    )
+    def test_edge_cases_raise_or_meet_the_first_order_condition(self, d, alpha, phi):
+        # a level near 0, a slope just above the threshold and a Student-t
+        # prior whose second moment is about to diverge (values 1e6 to 1e9):
+        # a typed error, or a converged minimizer at which the envelope
+        # slope 1 - 2A*P1+(m) + 2B*P1-(m) vanishes relative to its terms
+        try:
+            rv = robust_oce(d, AsymQuadratic(alpha), P2, phi)
+        except RiskModelError:
+            return
+        assert rv.converged
+        m = rv.argmin_m[0]
+        big_a, big_b = quad_transform_coefficients(alpha, 1.0 - alpha, rv.argmin_lambda)
+        up = 2.0 * big_a * partial_moment_plus(d, m, 1)
+        down = 2.0 * big_b * partial_moment_minus(d, m, 1)
+        assert abs(1.0 - up + down) <= 1e-9 * (1.0 + up + down)
+
+    @pytest.mark.parametrize(
         "phi", [BallPenalty(0.3), PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))]
     )
     def test_dual_solution_read_back_at_the_minimizer(self, rng, monkeypatch, phi):
@@ -532,9 +566,9 @@ class TestRobustOce:
         # robust expectile (`_ball_stats`, no m term) reads lambda back too
         calls = []
 
-        def recording(d, loss, cost, phi, m, opt):
+        def recording(d, loss, cost, phi, m):
             calls.append(m)
-            return _functional_detail(d, loss, cost, phi, m, opt)
+            return _functional_detail(d, loss, cost, phi, m)
 
         monkeypatch.setattr(robust_core, "_functional_detail", recording)
         loss = AsymQuadratic(0.7)
@@ -544,13 +578,13 @@ class TestRobustOce:
             m_star = rv.argmin_m[0]
             assert rv.argmin_m[1] == m_star
             assert len(calls) == len(set(calls)) == rv.evaluations
-            fresh = _functional_detail(d, loss, P2, phi, m_star, SearchOptions())
+            fresh = _functional_detail(d, loss, P2, phi, m_star)
             assert (rv.argmin_lambda, rv.boundary_lambda) == fresh[1:]
             if isinstance(phi, BallPenalty):
                 calls.clear()
                 m_star, lam, count = risk_measures._ball_stats(d, 0.7, phi.delta)
                 assert len(calls) == len(set(calls)) == count
-                assert lam == _functional_detail(d, loss, P2, phi, m_star, SearchOptions())[1]
+                assert lam == _functional_detail(d, loss, P2, phi, m_star)[1]
 
     def test_result_invariants(self, rng):
         for _ in range(5):
@@ -640,6 +674,28 @@ class TestEnvelopeRoot:
         oce = robust_oce(four, loss, P1, BallPenalty(0.3))
         assert oce.argmin_m == (-1.0, -1.0)
         assert pinball.converged and oce.converged
+
+    # dual solves per outer solve are deterministic, so they pin the work:
+    # each closed form is certified by the solve that found it, with no
+    # solve of its own
+    def test_root_far_from_zero_takes_no_more_dual_solves(self):
+        # at 1e9 the floats lie 1.2e-7 apart; a root asked for 1e-14 in
+        # z = m - centre kept stepping among the same few m there (34 dual
+        # solves against 11 unshifted), and stopping at m's resolution does not
+        d = Empirical(((0.0, 0.8), (-2.0, 0.2)))
+        loss, phi = AsymQuadratic(0.125), BallPenalty(1.0)
+        near = robust_oce(d, loss, P2, phi)
+        far = robust_oce(d.shift(1e9), loss, P2, phi)
+        assert near.converged and far.converged
+        assert far.evaluations <= near.evaluations
+
+    def test_quantile_set_takes_two_dual_solves(self):
+        # one at the centre, which checks feasibility, and one at the set
+        # read from the cdf
+        four = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+        rv = robust_generalized_quantile_detail(four, Pinball(0.3), P1, LinearPenalty(2.0))
+        assert rv.argmin_m == (0.2, 0.2) and rv.converged
+        assert rv.evaluations <= 2
 
     def test_no_golden_bracket_or_edge_solver_runs(self, monkeypatch, rng):
         def refuse(*args, **kwargs):

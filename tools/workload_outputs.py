@@ -12,8 +12,10 @@ benchmark runs them.
 `diff` runs the first 480 `solve_stream`, 240 `custom_dual` and 228
 `sweep_cli` operations (whole cycles) in both trees and compares them field
 by field: every field of a `RobustValue` and every float by `repr`; for a CLI
-call the exit code, stdout, stderr and the bytes of the sweep CSV; an
-operation that raises by its exception type and message.
+call the exit code, stdout, stderr and the sweep CSV cell by cell; an
+operation that raises by its exception type and message.  Each workload ends
+with a tally of the differing fields (a CSV by column) over all its differing
+operations, of which the first few per seed are shown.
 
 `scan` runs `solve_stream` operations and every oracle check, and prints
 every failure: an operation fails when it raises, returns `converged=False`,
@@ -28,11 +30,13 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
@@ -131,22 +135,42 @@ def _differences(a, b, path: str = ""):
         yield path, a, b
 
 
+def _columns(record: dict) -> dict:
+    """The record with its sweep CSV split into columns of cells, so that a
+    difference names the column and the row."""
+    lines = record.get("csv", "").splitlines()
+    if not lines:
+        return record
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    columns = {name: [row[k] if k < len(row) else None for row in rows] for k, name in enumerate(header)}
+    return {**record, "csv": columns}
+
+
 def diff(args) -> int:
     total = differing = 0
     with tempfile.TemporaryDirectory(prefix="workload-outputs-") as tmp:
         for workload, n_ops in DIFF_OPS.items():
+            fields: Counter = Counter()  # operations in which each field differs
+            workload_bad = 0
             for seed in _seeds(args.seeds):
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
-                base = [json.loads(line) for line in _spawn("dump", args.base, workload, seed, n_ops, workdir)]
-                change = [json.loads(line) for line in _spawn("dump", args.change, workload, seed, n_ops, workdir)]
+                base = [_columns(json.loads(line)) for line in _spawn("dump", args.base, workload, seed, n_ops, workdir)]
+                change = [_columns(json.loads(line)) for line in _spawn("dump", args.change, workload, seed, n_ops, workdir)]
                 bad = [(r, s) for r, s in zip(base, change) if r != s]
                 total += len(base)
-                differing += len(bad)
+                workload_bad += len(bad)
                 print(f"{workload} seed {seed}: {len(bad)} of {len(base)} operations differ")
-                for r, s in bad[:SHOWN_DIFFERENCES]:
-                    print(f"  {r['label']}")
-                    for path, x, y in list(_differences(r, s))[:SHOWN_DIFFERENCES]:
-                        print(f"    {path}: base {x!r}, change {y!r}")
+                for k, (r, s) in enumerate(bad):
+                    paths = list(_differences(r, s))
+                    fields.update({re.sub(r"\[\d+\]", "", path) for path, _, _ in paths})
+                    if k < SHOWN_DIFFERENCES:
+                        print(f"  {r['label']}")
+                        for path, x, y in paths[:SHOWN_DIFFERENCES]:
+                            print(f"    {path}: base {x!r}, change {y!r}")
+            differing += workload_bad
+            if fields:
+                tally = ", ".join(f"{path} {n}" for path, n in sorted(fields.items()))
+                print(f"{workload}: fields differing, in how many of {workload_bad} operations: {tally}")
     print(f"total: {differing} of {total} operations differ")
     return 1 if differing else 0
 
