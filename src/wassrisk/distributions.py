@@ -5,9 +5,12 @@ partial moments E[((X-m)^+)^k] and E[((X-m)^-)^k] for k in {1, 2}, the mean
 and quantiles.  Those are implemented in closed form for the empirical,
 normal and exponential families, and through exact tail identities built on
 the Student-t distribution function (absolute accuracy better than 1e-10).
-Each family class carries its own formulas; the module functions check their
-arguments and dispatch to the class.  All values are immutable after
-construction and every operation is pure.
+The normal and Student-t families take their distribution functions and
+quantiles from scipy.special, which the first of their calls imports; the
+empirical and exponential families never import scipy.  Each family class
+carries its own formulas; the module functions check their arguments and
+dispatch to the class.  All values are immutable after construction and
+every operation is pure.
 """
 
 from __future__ import annotations
@@ -17,17 +20,26 @@ import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import MomentUndefined
 
 WEIGHT_SUM_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _DISCRETIZE_N = 2001
+
+
+@cache
+def _special():
+    """scipy.special, imported on the first call: only the normal and
+    Student-t families use it, and its import costs more than the rest of
+    the package."""
+    from scipy import special
+
+    return special
 
 
 class Empirical:
@@ -298,10 +310,10 @@ class Normal(_Parametric):
         return self.mean
 
     def ppf(self, alpha: float) -> float:
-        return self.mean + self.stddev * float(special.ndtri(alpha))
+        return self.mean + self.stddev * float(_special().ndtri(alpha))
 
     def cdf(self, m: float) -> float:
-        return float(special.ndtr((m - self.mean) / self.stddev))
+        return float(_special().ndtr((m - self.mean) / self.stddev))
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.stddev * rng.standard_normal(n)
@@ -407,10 +419,10 @@ class StudentT(_Parametric):
         return self.dof > 2.0
 
     def ppf(self, alpha: float) -> float:
-        return self.location + self.scale * float(special.stdtrit(self.dof, alpha))
+        return self.location + self.scale * float(_special().stdtrit(self.dof, alpha))
 
     def cdf(self, m: float) -> float:
-        return float(special.stdtr(self.dof, (m - self.location) / self.scale))
+        return float(_special().stdtr(self.dof, (m - self.location) / self.scale))
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.location + self.scale * rng.standard_t(self.dof, size=n)
@@ -431,7 +443,7 @@ def _check_power(power: int) -> None:
 
 def _normal_plus(z: float, power: int) -> float:
     """Standardized E[((Z-z)^+)^power] for Z ~ N(0,1)."""
-    sf = float(special.ndtr(-z))
+    sf = float(_special().ndtr(-z))
     pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
     if power == 1:
         return max(pdf - z * sf, 0.0)
@@ -451,7 +463,7 @@ def _t_tail_integrals(z: float, dof: float) -> tuple[float, float]:
     """(int_z^inf f, int_z^inf x f) for the standard t density with `dof`."""
     # stdtr is exact near z = 0, where an incomplete beta at dof/(dof + z^2)
     # rounds 1 - x and loses up to 4e-9
-    i1 = float(special.stdtr(dof, -z))
+    i1 = float(_special().stdtr(dof, -z))
     i2 = _t_pdf(z, dof) * (dof + z * z) / (dof - 1.0)
     return i1, i2
 
@@ -467,7 +479,7 @@ def _t_plus(z: float, dof: float, power: int) -> float:
     i1, i2 = _t_tail_integrals(z, dof)
     # int_z^inf x^2 f: x^2 = dof*(1 + x^2/dof) - dof folds the integrand back
     # onto the t kernels with dof and dof-2 degrees of freedom.
-    i3 = dof * (dof - 1.0) / (dof - 2.0) * float(special.stdtr(dof - 2.0, -z * math.sqrt((dof - 2.0) / dof)))
+    i3 = dof * (dof - 1.0) / (dof - 2.0) * float(_special().stdtr(dof - 2.0, -z * math.sqrt((dof - 2.0) / dof)))
     i3 -= dof * i1
     return max(i3 - 2.0 * z * i2 + z * z * i1, 0.0)
 

@@ -14,7 +14,16 @@ class Infeasible(RiskModelError):
 
 
 class NoConvergence(RiskModelError):
-    """An iteration or bracket-expansion budget was exhausted."""
+    """An iteration or bracket-expansion budget was exhausted.
+
+    A root solve that fails attaches `bracket`, the (lo, hi) it searched, and
+    `last`, its last (x, f(x)); elsewhere both are None.
+    """
+
+    def __init__(self, message: str, bracket=None, last=None) -> None:
+        super().__init__(message)
+        self.bracket = bracket
+        self.last = last
 
 
 class DeltaTooSmall(RiskModelError):

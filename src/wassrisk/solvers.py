@@ -2,18 +2,19 @@
 
 Golden-section search over a bracket, outward bracket expansion that
 distinguishes flat plateaus from unbounded descent, flat-minimum edge
-detection, and a monotone-root helper wrapping Brent's method.  The first
-three serve only the search over m of losses without a closed form.  Their
-budgets and tolerances are the module constants below; only the golden
-section's bracket tolerance and the root's stopping width are arguments.
+detection, and a monotone root by Brent's method (Brent 1973, "Algorithms
+for Minimization without Derivatives"), implemented here as a step-for-step
+port of scipy's `brentq`.  The first three serve only the search over m of
+losses without a closed form.  Their budgets and tolerances are the module
+constants below; only the golden section's bracket tolerance and the root's
+stopping width are arguments.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Tuple
-
-from scipy.optimize import brentq
 
 from .errors import NoConvergence
 
@@ -23,6 +24,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # that counts as flat, and the resolution of a flat minimum's edges
 MAX_ITER = 200
 MAX_DOUBLINGS = 60
+# Brent's relative stopping width, scipy's least and default rtol; its
+# iteration budget is MAX_ITER
+_RTOL = 4.0 * sys.float_info.epsilon
 FLAT_VALUE_TOL = 1e-10
 INTERVAL_RESOLUTION = 1e-6
 
@@ -157,7 +161,10 @@ def flat_minimum_edges(
 
 def increasing_root(f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-14) -> float:
     """Root of a nondecreasing f, expanding [lo, hi] until it brackets zero;
-    Brent's method stops at a bracket xtol + 4*eps*|x| wide."""
+    Brent's method then starts from the bracket's end values, already known,
+    and stops at a bracket xtol + 4*eps*|x| wide.  Raises NoConvergence,
+    carrying the bracket and the last (x, f(x)), when no sign change turns up,
+    f returns NaN, or Brent's method exhausts its budget."""
     lo, hi = float(lo), float(hi)
     if hi < lo:
         lo, hi = hi, lo
@@ -171,7 +178,7 @@ def increasing_root(f: Callable[[float], float], lo: float, hi: float, xtol: flo
         while direction * f_x < 0.0:
             if k >= MAX_DOUBLINGS:
                 side = "left" if direction < 0.0 else "right"
-                raise NoConvergence(f"no sign change found expanding {side}")
+                raise NoConvergence(f"no sign change found expanding {side}", (lo, hi), (x, f_x))
             x += direction * step
             step *= 2.0
             f_x = f(x)
@@ -180,8 +187,72 @@ def increasing_root(f: Callable[[float], float], lo: float, hi: float, xtol: flo
 
     lo, f_lo = widen(lo, f_lo, max(hi - lo, 1.0), -1.0)
     hi, f_hi = widen(hi, f_hi, max(hi - lo, 1.0), 1.0)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    return float(brentq(f, lo, hi, xtol=xtol, maxiter=200))
+    return _brent(f, lo, f_lo, hi, f_hi, xtol)
+
+
+def _brent(f: Callable[[float], float], xpre: float, fpre: float, xcur: float, fcur: float, xtol: float) -> float:
+    """Brent's root of f on the bracket [xpre, xcur], whose end values fpre
+    and fcur are given and differ in sign unless one is zero.
+
+    A port of scipy's brentq.c, statement for statement: the same inverse
+    quadratic interpolation, secant extrapolation and bisection steps, the
+    same stopping width xtol + _RTOL*|x| and budget of MAX_ITER steps, so
+    from the same bracket it evaluates f at the same points and returns the
+    same root.  scipy raises ValueError on a NaN and RuntimeError on an
+    exhausted budget; this raises NoConvergence for both.
+    """
+    bracket = (xpre, xcur)
+    fpre, fcur = float(fpre), float(fcur)
+
+    def fail(reason: str, x: float, fx: float) -> NoConvergence:
+        return NoConvergence(f"Brent's root on {bracket!r} {reason}: f({x!r}) = {fx!r}", bracket, (x, fx))
+
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre):
+        raise fail("meets a NaN", xpre, fpre)
+    if math.isnan(fcur):
+        raise fail("meets a NaN", xcur, fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = abs(spre) if abs(spre) < 3.0 * abs(sbis) - delta else 3.0 * abs(sbis) - delta
+            if 2.0 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise fail("meets a NaN", xcur, fcur)
+    raise fail(f"did not converge in {MAX_ITER} steps", xcur, fcur)

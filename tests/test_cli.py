@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,19 +16,52 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats is slow to import; the package needs only scipy.special
-    # and scipy.optimize
+# runs in a fresh process; prints the scipy modules loaded after each step
+IMPORT_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import wassrisk, wassrisk.cli
+steps = {"stats": "scipy.stats" in sys.modules, "import": scipy_modules()}
+from wassrisk import AsymQuadratic, CostExponent, Empirical, Exponential, LinearPenalty, Normal, robust_functional
+robust_functional(Empirical.uniform([1.0, 2.0, 7.0]), AsymQuadratic(0.3), CostExponent(2.0), LinearPenalty(2.0), 2.5)
+steps["empirical"] = scipy_modules()
+wassrisk.robust_expectile_ball(Exponential(1.5), 0.3, 0.4)
+steps["exponential"] = scipy_modules()
+with open(sys.argv[1], "w") as handle:
+    handle.write("1\\n2\\n3\\n")
+with open(sys.argv[2], "w") as sys.stdout:
+    code = wassrisk.cli.main(["measure", "robust-expectile", "--penalty", "linear", "--delta", "1",
+                              "--alpha", "0.75", "--samples", sys.argv[1]])
+sys.stdout = sys.__stdout__
+steps["measure"] = [code, scipy_modules()]
+wassrisk.expectile(Normal(0.0, 1.0), 0.3)
+steps["normal"] = scipy_modules()
+print(json.dumps(steps))
+"""
+
+
+def test_import_leaves_scipy_stats_out(tmp_path):
+    # scipy is slow to import: the package imports none of it, and only the
+    # normal and Student-t families load scipy.special, on first use;
+    # the root is the package's own, so scipy.optimize never loads
     src = os.path.dirname(os.path.dirname(wassrisk.__file__))
-    probe = "import sys, wassrisk, wassrisk.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "three.csv"), str(tmp_path / "out.txt")],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    steps = json.loads(out.stdout)
+    assert steps["stats"] is False
+    assert steps["import"] == []
+    assert steps["empirical"] == []
+    assert steps["exponential"] == []
+    assert steps["measure"] == [0, []]
+    assert (tmp_path / "out.txt").read_text().strip() == "2.727272727273"
+    assert "scipy.special" in steps["normal"]
+    assert not [m for m in steps["normal"] if m.startswith("scipy.optimize")]
 
 
 class TestPriorSpecs:
