@@ -9,8 +9,10 @@ The normal and Student-t families take their distribution functions and
 quantiles from scipy.special, which the first of their calls imports; the
 empirical and exponential families never import scipy.  Each family class
 carries its own formulas; the module functions check their arguments and
-dispatch to the class.  All values are immutable after construction and
-every operation is pure.
+dispatch to the class.  A finite-support prior also solves the
+fixed-coefficient first-order condition of the expectile family exactly
+from its partial-moment tables (`Empirical.affine_root`).  All values are
+immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import MomentUndefined
+from .errors import MomentUndefined, NoConvergence
 
 WEIGHT_SUM_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -53,6 +55,12 @@ class Empirical:
     arrays; `points`, the atoms as pairs, is derived on first use.
     Instances are immutable; equality and hashing are those of `points`, so
     an atom at -0.0 equals one at 0.0.
+
+    Construction builds, in one pass over both sides, the cumulative
+    weights and the gap sums S1, S2 from the left and from the right.  The
+    partial moments read them at the nearest atom, and `affine_root` solves
+    the fixed-coefficient first-order condition of the expectile family
+    from them exactly, in about log2(n) probes.
     """
 
     finite_support = True  # finitely many atoms, within `support`
@@ -81,12 +89,13 @@ class Empirical:
         return d
 
     def __post_init__(self, values: np.ndarray, weights: np.ndarray) -> None:
-        """Check and normalize the atoms; every constructor ends here."""
+        """Check and normalize the atoms and build the tables; every
+        constructor ends here."""
         if values.size == 0:
             raise ValueError("empirical distribution needs at least one atom")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("empirical values must be finite")
-        if np.any(weights <= 0.0) or not np.all(np.isfinite(weights)):
+        if not ((weights > 0.0).all() and np.isfinite(weights).all()):
             raise ValueError("empirical weights must be strictly positive")
         total = float(weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -94,27 +103,48 @@ class Empirical:
                 f"empirical weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}"
             )
         weights = weights / total
-        order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        # merge exact ties so the support is strictly increasing: each run
-        # keeps its first value, and bincount sums its weights in order
-        start = np.concatenate(([True], values[1:] != values[:-1]))
-        x = values[start]
-        w = np.bincount(np.cumsum(start) - 1, weights=weights)
+        # distinct values have one sorted order, whichever sort finds it
+        order = values.argsort()
+        x, w = values[order], weights[order]
+        if (x[1:] == x[:-1]).any():
+            # merge exact ties so the support is strictly increasing: a
+            # stable sort keeps each run in input order, the run keeps its
+            # first value, and bincount sums its weights in that order
+            order = values.argsort(kind="stable")
+            x, w = values[order], weights[order]
+            start = np.concatenate(([True], x[1:] != x[:-1]))
+            x = x[start]
+            w = np.bincount(np.cumsum(start) - 1, weights=w)
         # values and weights hand these arrays out: read-only keeps the law,
         # its equality and its hash fixed
         x.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_w", w)
-        cw = np.cumsum(w)
-        cw[-1] = 1.0
-        object.__setattr__(self, "_cw", cw)
         # partial moments expand about the nearest atom on their side, from
-        # sums over the gaps between atoms: no term cancels, at any location
-        dx = np.diff(x)
-        cv = np.cumsum(w[::-1])[::-1]
-        object.__setattr__(self, "_head", (cw, *_gap_sums(cw, dx)))
-        object.__setattr__(self, "_tail", (cv, *(s[::-1] for s in _gap_sums(cv[::-1], dx[::-1]))))
+        # sums over the gaps between atoms: no term cancels, at any location.
+        # Row 0 of each table sums from the left, row 1 from the right
+        # (reversed), and a cumsum along a row adds in the row's own order
+        n = x.size
+        cum = np.empty((2, n))
+        cum[0], cum[1] = w, w[::-1]
+        cum = cum.cumsum(axis=1)
+        cum[0, -1] = 1.0
+        gaps = np.empty((2, n - 1))
+        np.subtract(x[1:], x[:-1], out=gaps[0])
+        gaps[1] = gaps[0, ::-1]
+        # S1_j = sum_{i <= j} w_i (x_j - x_i) and S2_j the same with squares,
+        # each grown from the last by nonnegative terms: S1 adds cw_j dx_j,
+        # S2 adds dx_j (2 S1_j + cw_j dx_j)
+        step = cum[:, :-1] * gaps
+        s1 = np.zeros((2, n))
+        np.cumsum(step, axis=1, out=s1[:, 1:])
+        step += 2.0 * s1[:, :-1]
+        step *= gaps
+        s2 = np.zeros((2, n))
+        np.cumsum(step, axis=1, out=s2[:, 1:])
+        object.__setattr__(self, "_cw", cum[0])
+        object.__setattr__(self, "_head", (cum[0], s1[0], s2[0]))
+        object.__setattr__(self, "_tail", (cum[1, ::-1], s1[1, ::-1], s2[1, ::-1]))
 
     @classmethod
     def uniform(cls, values: Iterable[float]) -> "Empirical":
@@ -181,6 +211,44 @@ class Empirical:
             return 0.0
         return _about_atom(self._head, i, m - float(self._x[i]), power)
 
+    def affine_root(self, shift: float, a: float, b: float) -> tuple[float, int]:
+        """(m, probes): the root of s(m) = shift + b*E[(X - m)^-] -
+        a*E[(X - m)^+] for a > 0 and b >= 0, read from the tables.
+
+        s is nondecreasing and affine between atoms, and at atom k it is
+        s_k = shift - a*S1+[k] + b*S1-[k], the tail and head gap sums.
+        Bisection over k finds the first atom with s_k >= 0 in about
+        log2(n) probes (one s_k each); the root then solves the line through
+        the gap below it, of slope a*P(X >= x_k) + b*P(X <= x_(k-1)), from
+        the gap end with the smaller |s|, or the ray past the first atom
+        (slope a) or the last (slope b).  A root on an atom is that atom.
+        Raises NoConvergence when s stays negative on the right (b = 0 and
+        shift < 0), where no root exists."""
+        x = self._x
+        cv, up = self._tail[0], self._tail[1]
+        cw, down = self._head[0], self._head[1]
+        lo, hi = 0, x.size
+        s_lo = s_hi = 0.0  # s at atoms lo - 1 and hi once probed
+        probes = 0
+        while lo < hi:
+            k = (lo + hi) // 2
+            s = shift - a * up.item(k) + b * down.item(k)
+            probes += 1
+            if s >= 0.0:
+                hi, s_hi = k, s
+            else:
+                lo, s_lo = k + 1, s
+        if lo == 0:
+            return x.item(0) - s_hi / (a * cv.item(0)), probes
+        if lo == x.size:
+            if b <= 0.0:
+                raise NoConvergence("objective keeps decreasing toward -inf on the right")
+            return x.item(lo - 1) - s_lo / b, probes
+        left, right = x.item(lo - 1), x.item(lo)
+        slope = a * cv.item(lo) + b * cw.item(lo - 1)
+        m = right - s_hi / slope if s_hi <= -s_lo else left - s_lo / slope
+        return min(max(m, left), right), probes
+
     def expected_value(self) -> float:
         return float(np.dot(self._x, self._w))
 
@@ -225,15 +293,6 @@ class Empirical:
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, weights) that sums over atoms use for this law."""
         return self._x, self._w
-
-
-def _gap_sums(cw: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S1, S2) with S1_j = sum_{i <= j} w_i (x_j - x_i) and S2_j the same
-    with squares, from cw_j = sum_{i <= j} w_i and the gaps dx_j = x_{j+1} -
-    x_j.  Each grows from the last by nonnegative terms, so neither cancels."""
-    s1 = np.concatenate(([0.0], np.cumsum(cw[:-1] * dx)))
-    s2 = np.concatenate(([0.0], np.cumsum(dx * (2.0 * s1[:-1] + dx * cw[:-1]))))
-    return s1, s2
 
 
 def _about_atom(sums: tuple[np.ndarray, ...], i: int, t: float, power: int) -> float:

@@ -9,9 +9,12 @@ condition
 
 which also equals the classical expectile at the adjusted level A/(A+B); the
 implementation solves the FOC and the identity is kept as a test property.
-Both expectiles are the envelope root of `robust_core._closed_form_argmin`
-for the closed form (A, B) (or (alpha, 1 - alpha)) under p = 2, taken in
-m - centre from the prior's `center_and_span()`.
+Both expectiles are the argmin of `robust_core._closed_form_argmin` for the
+closed form (A, B) (or (alpha, 1 - alpha)) under p = 2, whose coefficients
+do not move with m: an empirical prior reads it from its atom tables
+(`Empirical.affine_root`, exact to rounding), other priors root the FOC in
+m - centre from the prior's `center_and_span()`, and a root that fails its
+certificate raises NoConvergence.
 The ball-penalty robust expectile is the argmin over m of the ball robust
 functional with the squared asymmetric loss: the robust generalized quantile
 of AsymQuadratic(alpha) under BallPenalty(delta2) with p = 2, one root of the
@@ -80,14 +83,20 @@ def _require_second_moments(d: PriorDistribution) -> None:
 
 def _asymmetric_root_stats(d: PriorDistribution, a: float, b: float) -> tuple[float, int]:
     """(unique root, FOC evaluation count) of m -> b*E[(X-m)^-] - a*E[(X-m)^+]
-    for a, b > 0: the minimizer of a*E[((X-m)^+)^2] + b*E[((X-m)^-)^2]."""
+    for a, b > 0: the minimizer of a*E[((X-m)^+)^2] + b*E[((X-m)^-)^2].  A
+    finite-support prior reads the root from its atom tables, each table
+    probe counting as one evaluation; raises NoConvergence when the root
+    fails its certificate."""
     count = [0]
 
     def foc(m: float) -> float:
         count[0] += 1
         return b * partial_moment_minus(d, m, 1) - a * partial_moment_plus(d, m, 1)
 
-    return _closed_form_argmin(d, a, b, 2.0, 0.0, foc)[0], count[0]
+    m, _, certified, probes = _closed_form_argmin(d, a, b, 2.0, 0.0, foc, fixed=(a, b))
+    if not certified:
+        raise NoConvergence(f"expectile root (a={a!r}, b={b!r}) fails its certificate at m = {m!r}")
+    return m, count[0] + probes
 
 
 def expectile(d: PriorDistribution, alpha: float) -> float:

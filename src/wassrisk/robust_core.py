@@ -29,11 +29,14 @@ second partial moments at m, taken once, and its own root; other losses read
 y* from the numeric supremum, one per lambda, and root with
 `solvers.increasing_root`.  Every closed form takes its outer argmin set
 exactly (`_closed_form_argmin`): with p = 2 and a > 0 a root of the slope in
-m, which the envelope theorem gives in closed form; with p = 1, or a zero
+m, which the envelope theorem gives in closed form, read from the atom
+tables of a finite-support prior when lambda does not move with m (no dual
+layer, a linear penalty, a ball of radius zero); with p = 1, or a zero
 side, a quantile set read from the cdf.  Each certifies itself: a set read
-from the cdf is exact, and a root holds the sign bracket of its own slope
-evaluations.  Custom losses and mismatched exponents search m by golden
-section, with the `solvers` budgets, and certify it by one-sided steps.
+from the cdf or the atom tables is exact, and a root holds the sign bracket
+of its own slope evaluations.  Custom losses and mismatched exponents search
+m by golden section, with the `solvers` budgets, and certify it by one-sided
+steps.
 """
 
 from __future__ import annotations
@@ -330,30 +333,40 @@ def _closed_form_argmin(
     slope: Callable[[float], float],
     lo: float = -INF,
     hi: float = INF,
-) -> tuple[float, float, bool]:
-    """(m1, m2, certified): the exact argmin set [m1, m2] over [lo, hi] of
-    shift*m + g(m), g the expectation or robust functional of the closed
-    form (a, b) under cost exponent p, whose derivative in m is `slope`.
-    Under p = 2 with a > 0 (and b > 0 or a shift) it is one point: an end
-    of a finite [lo, hi] where the slope points inward, else the slope's
-    root taken in z = m - centre, which stops at m's own resolution and is
-    certified when it lies in the sign bracket of the slope evaluations
-    (the largest m with slope <= 0 to the smallest with slope >= 0), no
-    wider than that stopping width plus the rounding of centre + z.
-    Otherwise it is [q-(tau), q+(tau)] at tau = (a - shift)/(a + b),
-    clipped to [lo, hi]: with p = 1 the slope is shift - a + (a + b)*F(m),
-    and a zero side under p = 2 is minimal where its one partial moment
-    vanishes, a ray past the support (tau = 0 or 1).  Every set but the
-    root is exact.  Raises NoConvergence when the set has no finite point.
+    fixed: Optional[tuple[float, float]] = None,
+) -> tuple[float, float, bool, int]:
+    """(m1, m2, certified, probes): the exact argmin set [m1, m2] over
+    [lo, hi] of shift*m + g(m), g the expectation or robust functional of
+    the closed form (a, b) under cost exponent p, whose derivative in m is
+    `slope`.  Under p = 2 with a > 0 (and b > 0 or a shift) it is one point.
+    When the slope's coefficients do not move with m (`fixed` = (A, B), the
+    slope a positive multiple of shift - 2A*P1+(m) + 2B*P1-(m)) and the
+    prior has finite support, the point is read from its atom tables
+    (`affine_root`), exact to rounding, and `probes` counts the table
+    probes.  Otherwise it is an end of a finite [lo, hi] where the slope
+    points inward, else the slope's root taken in z = m - centre, which
+    stops at m's own resolution and is certified when it lies in the sign
+    bracket of the slope evaluations (the largest m with slope <= 0 to the
+    smallest with slope >= 0), no wider than that stopping width plus the
+    rounding of centre + z.  The remaining cases are [q-(tau), q+(tau)] at
+    tau = (a - shift)/(a + b), clipped to [lo, hi]: with p = 1 the slope is
+    shift - a + (a + b)*F(m), and a zero side under p = 2 is minimal where
+    its one partial moment vanishes, a ray past the support (tau = 0 or 1).
+    Every set but the Brent root is exact.  Raises NoConvergence when the
+    set has no finite point.
     """
     if p == 2.0 and a > 0.0 and (b > 0.0 or shift):
+        if fixed is not None and d.finite_support:
+            m, probes = d.affine_root(shift, 2.0 * fixed[0], 2.0 * fixed[1])  # type: ignore[union-attr]
+            m = min(max(m, lo), hi)
+            return m, m, True, probes
         if lo > -INF and slope(lo) >= 0.0:
-            return lo, lo, True
+            return lo, lo, True, 0
         if hi < INF and slope(hi) <= 0.0:
-            return hi, hi, True
+            return hi, hi, True, 0
         center, span = d.center_and_span()
         if not shift and not (d.mass_above(center) or d.mass_below(center)):
-            return center, center, True
+            return center, center, True, 0
         xtol = max(1e-14, 2.0 * math.ulp(center))  # Brent's least step, xtol/2, moves m
         bracket = [-INF, INF]
 
@@ -369,7 +382,7 @@ def _closed_form_argmin(
         z = increasing_root(signed, -span, span, xtol)
         m = center + z
         width = xtol + 4.0 * _EPS * (abs(z) + abs(m))
-        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width
+        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width, 0
     if a + b == 0.0:  # a zero loss: the slope is the shift alone
         tau, m1, m2 = (-INF, -INF, -INF) if shift else (0.5, -INF, INF)
     else:
@@ -379,7 +392,7 @@ def _closed_form_argmin(
     if m1 == m2 and math.isinf(m1):
         fall = "approaches its infimum" if 0.0 <= tau <= 1.0 else "keeps decreasing toward -inf"
         raise NoConvergence(f"objective {fall} on the {'left' if m1 < 0.0 else 'right'}")
-    return m1, m2, True
+    return m1, m2, True, 0
 
 
 def _solve_outer(
@@ -397,7 +410,9 @@ def _solve_outer(
     is None) takes its exact set from `_closed_form_argmin`, a quantile set
     or the root of the slope [1 if add_m] - 2*A*P1+(m) + 2*B*P1-(m), with
     (A, B) the transform coefficients at the dual's lambda*(m) (Danskin's
-    theorem), certified by that solve itself.  Custom losses and mismatched
+    theorem), certified by that solve itself; when lambda* is the same at
+    every m, (A, B) is passed as fixed, and a finite-support prior reads the
+    root from its atom tables.  Custom losses and mismatched
     exponents run golden section in a bracket grown by doubling, locate the
     edges of a flat bottom and certify them by one-sided slopes outside the
     reported interval.  (value, lambda, boundary) is memoised per m, so
@@ -428,7 +443,13 @@ def _solve_outer(
     restricted = opt.restrict_to_support and d.finite_support
     lo, hi = d.support if restricted else (-INF, INF)
     if form is not None:
-        m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi)
+        fixed = None
+        if p == 2.0 and (phi is None or phi.conjugate_vanishes):
+            # lambda* is the end of phi*'s domain at every m (+inf for a
+            # ball of radius zero), so the slope's coefficients are fixed
+            lam = INF if phi is None else phi.conjugate_domain_end()
+            fixed = quad_transform_coefficients(*form, lam) if lam < INF else form
+        m1, m2, converged, _ = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
         m_star = m1 if m1 > -INF else (m2 if m2 < INF else center)
         f_min = f(m_star)
     else:

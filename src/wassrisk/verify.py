@@ -189,8 +189,8 @@ def _check_weak_duality(seed: int) -> tuple[bool, str]:
         mu = Empirical.from_arrays(base.values + jitter, base.weights)
         m = float(rng.uniform(-2.0, 2.0))
         for loss, cost in ((Pinball(0.3), P1), (AsymQuadratic(0.7), P2)):
+            transport = wasserstein_1d(base, mu, cost)
             for phi in (LinearPenalty(2.0), BallPenalty(0.4)):
-                transport = wasserstein_1d(base, mu, cost)
                 pen = penalty_value(phi, transport)
                 if math.isinf(pen):
                     continue

@@ -314,7 +314,29 @@ class TestSweep:
     def test_failed_ball_certificate_fails_its_row(self, capsys, tmp_path, monkeypatch):
         # a ball solve whose certificate fails raises NoConvergence, which
         # the sweep records as a failed row; radius 0 is the classical
-        # expectile and takes no outer solve
+        # expectile, which an empirical prior reads from its atom tables
+        # with no root at all
+        from wassrisk import robust_core
+
+        root = robust_core.increasing_root
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
+        samples, out_csv = tmp_path / "atoms.csv", tmp_path / "ball.csv"
+        samples.write_text("-1.5\n-0.25\n0.0\n0.5\n2.0\n")
+        code, _, _ = run(
+            capsys,
+            "sweep", "--samples", str(samples), "--penalty", "ball",
+            "--alpha", "0.75", "--delta", "0,0.5", "--out", str(out_csv),
+        )
+        assert code == 0
+        zero, half = out_csv.read_text().strip().splitlines()[1:]
+        assert zero.endswith(",true")
+        assert half.endswith(",false") and "nan" in half
+
+    def test_failed_expectile_certificate_fails_its_row(self, capsys, tmp_path, monkeypatch):
+        # on a normal prior the classical expectile is a root too: one that
+        # fails its certificate fails every row that needs it (radius 0
+        # itself, and the expectile column of the others) instead of
+        # printing a number off the root
         from wassrisk import robust_core
 
         root = robust_core.increasing_root
@@ -325,10 +347,9 @@ class TestSweep:
             "sweep", "--prior", "normal:0,1", "--penalty", "ball",
             "--alpha", "0.75", "--delta", "0,0.5", "--out", str(out_csv),
         )
-        assert code == 0
-        zero, half = out_csv.read_text().strip().splitlines()[1:]
-        assert zero.endswith(",true")
-        assert half.endswith(",false") and "nan" in half
+        assert code == 2
+        for row in out_csv.read_text().strip().splitlines()[1:]:
+            assert row.endswith(",false") and "nan" in row
 
     def test_decreasing_grid_rejected(self, capsys, tmp_path):
         code, _, err = run(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wassrisk import (
     Empirical,
     Exponential,
     MomentUndefined,
+    NoConvergence,
     Normal,
     StudentT,
     empirical_from_csv,
@@ -145,6 +147,135 @@ class TestConstruction:
             Exponential(-1.0)
         with pytest.raises(ValueError):
             StudentT(0.0)
+
+
+def _stable_sort_tables(values: np.ndarray, weights: np.ndarray) -> list[np.ndarray]:
+    """(x, w, cw, head..., tail...) as the stable-sort build makes them: a
+    stable sort, ties merged by bincount, and each side's gap sums by its own
+    one-dimensional cumsum (the reference for the one-pass build)."""
+
+    def gap_sums(cw, dx):
+        s1 = np.concatenate(([0.0], np.cumsum(cw[:-1] * dx)))
+        s2 = np.concatenate(([0.0], np.cumsum(dx * (2.0 * s1[:-1] + dx * cw[:-1]))))
+        return s1, s2
+
+    weights = weights / float(weights.sum())
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], weights[order]
+    start = np.concatenate(([True], values[1:] != values[:-1]))
+    x = values[start]
+    w = np.bincount(np.cumsum(start) - 1, weights=weights)
+    cw = np.cumsum(w)
+    cw[-1] = 1.0
+    dx = np.diff(x)
+    cv = np.cumsum(w[::-1])[::-1]
+    head = (cw, *gap_sums(cw, dx))
+    tail = (cv, *(s[::-1] for s in gap_sums(cv[::-1], dx[::-1])))
+    return [x, w, cw, *head, *tail]
+
+
+def _exact_affine_root(d: Empirical, shift: float, a: float, b: float) -> Fraction:
+    """The root of shift + b*E[(X - m)^-] - a*E[(X - m)^+] in exact
+    arithmetic over the stored atoms, from the sign change along them."""
+    xs = [Fraction(v) for v in d.values.tolist()]
+    ws = [Fraction(v) for v in d.weights.tolist()]
+    sh, fa, fb = Fraction(shift), Fraction(a), Fraction(b)
+
+    def s(m):
+        return sh + sum(w * (fb * max(m - x, 0) - fa * max(x - m, 0)) for x, w in zip(xs, ws))
+
+    at = [s(x) for x in xs]
+    if at[0] >= 0:
+        return xs[0] - at[0] / (fa * sum(ws))
+    if at[-1] < 0:
+        return xs[-1] - at[-1] / (fb * sum(ws))
+    k = next(i for i, v in enumerate(at) if v >= 0)
+    return xs[k - 1] + (xs[k] - xs[k - 1]) * -at[k - 1] / (at[k] - at[k - 1])
+
+
+def _ulps_off(got: float, exact: Fraction, d: Empirical) -> float:
+    """|got - exact| in units of the last place of the problem's scale: the
+    largest of |first atom|, |last atom| and |root|."""
+    lo, hi = d.support
+    scale = max(abs(lo), abs(hi), abs(float(exact)))
+    return float(abs(Fraction(got) - exact) / Fraction(math.ulp(scale)))
+
+
+class TestAtomTables:
+    """The one-pass build and the exact root read from its tables."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 1000, 20000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_tables_equal_the_stable_sort_build(self, rng, n, ties):
+        for _ in range(3):
+            values = rng.standard_t(3.0, n) * 10.0 ** rng.uniform(-3.0, 6.0)
+            if ties:
+                values = np.round(values, 1) if n > 3 else np.array([0.0, -0.0, 1.0])[:n]
+                values[rng.random(values.size) < 0.1] = -0.0
+            weights = rng.uniform(0.01, 1.0, values.size)
+            weights /= weights.sum()
+            d = Empirical.from_arrays(values, weights)
+            got = [d._x, d._w, d._cw, *d._head, *d._tail]
+            want = _stable_sort_tables(values, weights)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_root_equals_the_exact_fraction_root(self, rng):
+        # worst seen over these draws: under 2 ulps inside a gap, just under
+        # 3 on a ray, where the shift's quotient is a large part of the root
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            values = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-2.0, 2.0)
+            weights = rng.uniform(0.05, 1.0, n)
+            d = Empirical.from_arrays(values, weights / weights.sum())
+            a = float(rng.uniform(0.01, 0.99))
+            b = float(rng.choice([1.0 - a, float(rng.uniform(0.01, 3.0))]))
+            shift = float(rng.choice([0.0, 1.0, -1.0]))
+            m, probes = d.affine_root(shift, a, b)
+            assert _ulps_off(m, _exact_affine_root(d, shift, a, b), d) <= 4.0
+            assert 1 <= probes <= math.ceil(math.log2(d.values.size + 1))
+
+    def test_root_on_an_atom_is_that_atom(self):
+        assert FAIR_COIN.affine_root(0.0, 0.5, 0.5)[0] == 0.5
+        three = Empirical.uniform([0.0, 1.0, 2.0])
+        assert three.affine_root(0.0, 0.3, 0.3) == (1.0, 2)
+        # b*P(X = -1) = a*P(X = 1) puts the root on the middle atom
+        skewed = Empirical(((-1.0, 0.5), (0.0, 0.25), (1.0, 0.25)))
+        assert skewed.affine_root(0.0, 0.5, 0.25)[0] == 0.0
+
+    def test_one_atom(self):
+        point = Empirical(((2.5, 1.0),))
+        assert point.affine_root(0.0, 0.8, 0.2) == (2.5, 1)
+        # below the atom the slope is a, above it b
+        assert point.affine_root(1.0, 0.5, 0.2) == (0.5, 1)
+        assert point.affine_root(-1.0, 0.5, 0.25) == (6.5, 1)
+
+    def test_rays_past_the_support(self):
+        d = Empirical.uniform([-1.0, 0.5, 2.0, 4.0])
+        # shift 1 and a small: far below the first atom, at mean - shift/a
+        m, _ = d.affine_root(1.0, 2e-6, 0.3)
+        assert _ulps_off(m, _exact_affine_root(d, 1.0, 2e-6, 0.3), d) <= 4.0
+        assert m == pytest.approx(1.375 - 5e5, rel=1e-15)
+        # shift -1 and b small: far above the last atom
+        m, _ = d.affine_root(-1.0, 0.3, 2e-6)
+        assert _ulps_off(m, _exact_affine_root(d, -1.0, 0.3, 2e-6), d) <= 4.0
+        assert m == pytest.approx(1.375 + 5e5, rel=1e-15)
+        # with b = 0 a negative shift keeps s below zero on the right
+        with pytest.raises(NoConvergence):
+            d.affine_root(-1.0, 0.3, 0.0)
+
+    def test_ties_and_tiny_weights(self, rng):
+        merged = Empirical(((0.0, 0.5), (1.0, 0.25), (3.0, 0.25)))
+        tied = Empirical(((1.0, 0.125), (0.0, 0.25), (3.0, 0.25), (0.0, 0.25), (1.0, 0.125)))
+        assert tied == merged
+        assert tied.affine_root(0.0, 0.7, 0.3) == merged.affine_root(0.0, 0.7, 0.3)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            weights = np.full(n, 1e-9)
+            weights[int(rng.integers(0, n))] = 1.0 - (n - 1) * 1e-9
+            d = Empirical.from_arrays(rng.normal(0.0, 3.0, n), weights)
+            for shift, a, b in ((0.0, 0.9, 0.1), (0.0, 0.05, 0.95), (1.0, 0.3, 0.7)):
+                m, _ = d.affine_root(shift, a, b)
+                assert _ulps_off(m, _exact_affine_root(d, shift, a, b), d) <= 4.0
 
 
 class TestPartialMomentExamples:

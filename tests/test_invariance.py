@@ -11,10 +11,16 @@ the tolerance 1e-8 + 2e-15*|c| allows for.
 Scaling the prior by s, with the ball radius scaled by s^2 (the cost
 exponent is 2), scales the ball robust expectile and the quadratic robust
 generalized quantile's minimizer by s, and both stay certified.
+
+Ordering in delta: on the same empirical priors the linear-penalty robust
+expectile is nonincreasing in the slope delta for alpha > 1/2 and
+nondecreasing for alpha < 1/2, with the classical expectile between it and
+the mean.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +34,7 @@ from wassrisk import (
     PiecewiseLinearPenalty,
     Pinball,
     expectile,
+    mean,
     robust_expectile_ball,
     robust_expectile_linear,
     robust_oce,
@@ -106,3 +113,29 @@ def test_scale_moves_the_ball_expectile_and_minimizer_by_the_scale(s, atoms, alp
     assert m_base.converged and m_scaled.converged
     m = m_base.argmin_m[0]
     assert abs(m_scaled.argmin_m[0] - s * m) <= 1e-12 * s * (1.0 + abs(m))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    atoms=ATOMS,
+    alpha=st.floats(0.01, 0.99).filter(lambda a: a != 0.5),
+    steps=st.lists(st.floats(0.001, 5.0), min_size=2, max_size=8),
+)
+def test_linear_expectile_is_ordered_in_delta(atoms, alpha, steps):
+    # the adjusted level moves monotonically from 1 (or 0) toward alpha as
+    # delta grows, so for alpha > 1/2 the robust expectile falls toward the
+    # classical one, which lies between it and the mean, and the support's
+    # top bounds it; alpha < 1/2 mirrors the chain
+    d = _prior(atoms)
+    lo, hi = d.support
+    tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+    deltas = max(alpha, 1.0 - alpha) + np.cumsum(steps)
+    robust = [robust_expectile_linear(d, alpha, float(delta)) for delta in deltas]
+    sign = 1.0 if alpha > 0.5 else -1.0
+    for before, after in zip(robust[:-1], robust[1:]):
+        assert sign * (after - before) <= tol
+    classical, centre = expectile(d, alpha), mean(d)
+    assert sign * (centre - classical) <= tol
+    for value in robust:
+        assert sign * (classical - value) <= tol
+        assert lo - tol <= value <= hi + tol

@@ -116,6 +116,19 @@ class TestExpectile:
         with pytest.raises(MomentUndefined):
             expectile(StudentT(1.5), 0.7)
 
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a root moved off its sign bracket is uncertified: the classical and
+        # linear robust expectiles raise instead of returning it
+        for d in (Normal(0, 1), Exponential(1.3)):
+            assert math.isfinite(expectile(d, 0.75))
+        root = robust_core.increasing_root
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
+        for d in (Normal(0, 1), Exponential(1.3)):
+            with pytest.raises(NoConvergence, match="fails its certificate"):
+                expectile(d, 0.75)
+            with pytest.raises(NoConvergence, match="fails its certificate"):
+                robust_expectile_linear(d, 0.75, 1.5)
+
 
 class TestRobustExpectileLinear:
     def test_two_point_adjusted_level(self):

@@ -740,6 +740,83 @@ class TestEnvelopeRoot:
             assert math.isfinite(robust_expectile_linear(d, 0.3, 1.5))
 
 
+class TestTableRoot:
+    """A finite-support prior whose slope has fixed coefficients (no dual
+    layer, a linear penalty, a ball of radius zero) reads its argmin from the
+    atom tables; other priors and penalties keep their roots."""
+
+    def test_equals_the_brent_root_up_to_5000_atoms(self, rng):
+        for n in (1, 2, 3, 40, 400, 5000):
+            for _ in range(6):
+                spread = 10.0 ** rng.uniform(-3.0, 3.0)
+                values = spread * rng.standard_t(4.0, n) + rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(0.0, 4.0)
+                weights = rng.uniform(0.01, 1.0, n)
+                d = Empirical.from_arrays(values, weights / weights.sum())
+                a, b = float(rng.uniform(0.01, 3.0)), float(rng.uniform(0.01, 3.0))
+                shift = float(rng.choice([0.0, 1.0]))
+
+                def slope(m):
+                    return shift - 2.0 * a * partial_moment_plus(d, m, 1) + 2.0 * b * partial_moment_minus(d, m, 1)
+
+                table = robust_core._closed_form_argmin(d, a, b, 2.0, shift, slope, fixed=(a, b))
+                brent = robust_core._closed_form_argmin(d, a, b, 2.0, shift, slope)
+                assert table[2] and brent[2] and table[3] > 0 == brent[3]
+                lo, hi = d.support
+                scale = max(1.0, abs(lo), abs(hi), abs(table[0]))
+                assert abs(table[0] - brent[0]) <= 1e-14 * scale
+
+    def test_fixed_coefficient_solves_run_no_root(self, monkeypatch, rng):
+        d = random_empirical(rng, max_atoms=30)
+        loss = AsymQuadratic(0.7)
+        want = [
+            expectile(d, 0.7),
+            robust_expectile_linear(d, 0.7, 1.6),
+            robust_expectile_ball(d, 0.7, 0.0),
+            robust_oce(d, loss, P2, LinearPenalty(1.6)).value,
+            robust_oce(d, loss, P2, BallPenalty(0.0)).value,
+            classical_oce(d, loss).value,
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table solve must not root")
+
+        monkeypatch.setattr(robust_core, "increasing_root", refuse)
+        got = [
+            expectile(d, 0.7),
+            robust_expectile_linear(d, 0.7, 1.6),
+            robust_expectile_ball(d, 0.7, 0.0),
+            robust_oce(d, loss, P2, LinearPenalty(1.6)).value,
+            robust_oce(d, loss, P2, BallPenalty(0.0)).value,
+            classical_oce(d, loss).value,
+        ]
+        assert got == want
+        # the ball's lambda moves with m, and a normal prior has no atoms
+        with pytest.raises(AssertionError, match="must not root"):
+            robust_expectile_ball(d, 0.7, 0.4)
+        with pytest.raises(AssertionError, match="must not root"):
+            expectile(Normal(0.0, 1.0), 0.7)
+
+    def test_far_minimizer_takes_two_dual_solves(self):
+        # AsymQuadratic(1e-6) under LinearPenalty(2) has A ~ 1e-6, so the
+        # OCE's minimizer mean - 1/(2A) lies about 5e5 below the atoms: read
+        # from the left ray, with a dual solve at the centre and one there
+        d = Empirical.uniform([0.3, 1.0, 1.7, 2.6])
+        big_a = quad_transform_coefficients(1e-6, 1.0 - 1e-6, 2.0)[0]
+        rv = robust_oce(d, AsymQuadratic(1e-6), P2, LinearPenalty(2.0))
+        assert rv.converged and rv.evaluations == 2
+        assert rv.argmin_m[0] == rv.argmin_m[1] == pytest.approx(1.4 - 0.5 / big_a, rel=1e-15)
+
+    def test_restricted_root_clips_to_the_first_atom(self, rng):
+        d = random_empirical(rng, max_atoms=12)
+        loss, phi = AsymQuadratic(0.01), LinearPenalty(2.0)
+        free = robust_oce(d, loss, P2, phi)
+        rv = robust_oce(d, loss, P2, phi, SearchOptions(restrict_to_support=True))
+        lo = d.support[0]
+        assert free.argmin_m[0] < lo
+        assert rv.argmin_m == (lo, lo) and rv.converged
+        assert rv.value == lo + robust_functional(d, loss, P2, phi, lo)
+
+
 class TestOceAxioms:
     def test_translation_invariance(self, rng):
         for _ in range(15):
@@ -816,3 +893,23 @@ class TestWeakDuality:
                 primal = float(np.dot(mu.weights, np.asarray(loss_value(loss, mu.values - m)))) - pen
                 dual = robust_functional(base, loss, cost, phi, m)
                 assert primal <= dual + 1e-9
+
+    def test_transport_cost_equals_the_cell_loop(self, rng):
+        # reference: one cell of the merged weight partition at a time, each
+        # term added in cell order
+        def by_loop(a, b, cost):
+            cwa, cwb = np.cumsum(a.weights), np.cumsum(b.weights)
+            cuts = np.unique(np.concatenate(([0.0], cwa, cwb, [1.0])))
+            cuts = cuts[(cuts >= 0.0) & (cuts <= 1.0)]
+            total = 0.0
+            for u0, u1 in zip(cuts[:-1], cuts[1:]):
+                u_mid = 0.5 * (u0 + u1)
+                qa = a.values[min(int(cwa.searchsorted(u_mid, side="left")), len(a.values) - 1)]
+                qb = b.values[min(int(cwb.searchsorted(u_mid, side="left")), len(b.values) - 1)]
+                total += (u1 - u0) * abs(float(qa) - float(qb)) ** cost.p
+            return total
+
+        laws = [Empirical(((0.5, 1.0),))] + [random_empirical(rng, max_atoms=30) for _ in range(60)]
+        for a, b in zip(laws[:-1], laws[1:]):
+            for cost in (P1, P2):
+                assert wasserstein_1d(a, b, cost).hex() == by_loop(a, b, cost).hex()

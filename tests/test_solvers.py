@@ -13,7 +13,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from wassrisk import Empirical, NoConvergence, Normal, cli, robust_core
+from wassrisk import Empirical, NoConvergence, Normal, StudentT, cli, robust_core
 from wassrisk.risk_measures import _asymmetric_root_stats
 from wassrisk.solvers import _brent, increasing_root
 
@@ -105,7 +105,7 @@ def test_widened_bracket_hands_its_end_values_on():
     assert _bits(seen[4:]) == _bits(expected[2:])
 
 
-@pytest.mark.parametrize("d, count", [(Normal(0.0, 1.0), 8), (Empirical.uniform([1.0, 2.0, 3.0, 7.0]), 9)])
+@pytest.mark.parametrize("d, count", [(Normal(0.0, 1.0), 8), (StudentT(7.3, 0.1, 1.2), 9)])
 def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
     ms: list[float] = []
     root = robust_core.increasing_root
@@ -121,6 +121,16 @@ def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
     _, evaluations = _asymmetric_root_stats(d, 0.8, 0.3)
     assert evaluations == len(ms) == count
     assert len(set(ms)) == len(ms)
+
+
+def test_expectile_on_atoms_counts_its_table_probes(monkeypatch):
+    # a finite-support prior reads the root from its atom tables: no root
+    # runs, and the count is the bisection's probes, one per table entry read
+    monkeypatch.setattr(robust_core, "increasing_root", lambda *args: pytest.fail("a root ran"))
+    m, evaluations = _asymmetric_root_stats(Empirical.uniform([1.0, 2.0, 3.0, 7.0]), 0.8, 0.3)
+    assert abs(m - 74.0 / 17.0) <= 2.0 * math.ulp(74.0 / 17.0) and evaluations == 2
+    m, evaluations = _asymmetric_root_stats(Empirical.uniform(range(1000)), 0.8, 0.3)
+    assert evaluations == 10
 
 
 class TestTypedFailures:
