@@ -29,8 +29,8 @@ from .losses import AsymQuadratic, CostExponent, Pinball
 from .penalizations import BallPenalty, LinearPenalty, Penalization
 from .risk_measures import (
     ExpectileLevel,
-    _asymmetric_root_stats,
     _ball_stats,
+    _expectile_detail,
     expectile,
     robust_expectile_ball,
     robust_expectile_linear,
@@ -194,12 +194,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _sweep_point(d: PriorDistribution, penalty: str, alpha: float, delta: float) -> tuple[float, int]:
-    """(robust expectile, objective evaluation count) for one grid point."""
+    """(robust expectile, dual solves at distinct m) for one grid point."""
     if penalty == "linear":
-        level = ExpectileLevel(alpha, delta)
-        return _asymmetric_root_stats(d, level.coefficient_plus, level.coefficient_minus)
-    if delta == 0.0:
-        return expectile(d, alpha), 1
+        ExpectileLevel(alpha, delta)
+        rv = _expectile_detail(d, alpha, LinearPenalty(delta))
+        return rv.argmin_m[0], rv.evaluations
     value, _, evals = _ball_stats(d, alpha, delta)
     return value, evals
 

@@ -29,14 +29,17 @@ second partial moments at m, taken once, and its own root; other losses read
 y* from the numeric supremum, one per lambda, and root with
 `solvers.increasing_root`.  Every closed form takes its outer argmin set
 exactly (`_closed_form_argmin`): with p = 2 and a > 0 a root of the slope in
-m, which the envelope theorem gives in closed form, read from the atom
-tables of a finite-support prior when lambda does not move with m (no dual
-layer, a linear penalty, a ball of radius zero); with p = 1, or a zero
-side, a quantile set read from the cdf.  Each certifies itself: a set read
-from the cdf or the atom tables is exact, and a root holds the sign bracket
-of its own slope evaluations.  Custom losses and mismatched exponents search
-m by golden section, with the `solvers` budgets, and certify it by one-sided
-steps.
+m, which the envelope theorem gives in closed form; with p = 1, or a zero
+side, a quantile set read from the cdf.  Where lambda does not move with m
+(no dual layer, a linear penalty, a ball of radius zero) the slope takes no
+dual solve, and a finite-support prior reads the root from its atom tables.
+Each certifies itself: a set read from the cdf or the atom tables is exact,
+and a root holds the sign bracket of its own slope evaluations.  Custom
+losses and mismatched exponents search m by golden section, with the
+`solvers` budgets, and certify it by one-sided steps.  One outer solve
+(`_solve_outer`) serves every measure: the OCEs, the generalized quantiles
+and, through them, the expectiles.  What makes the dual +inf at every m is
+checked once, before any search (`_dual_floor`).
 """
 
 from __future__ import annotations
@@ -159,6 +162,39 @@ def expected_transform(
     return float(np.dot(w, t))
 
 
+def _dual_floor(
+    loss: LossSpec, cost: CostExponent, phi: Penalization
+) -> tuple[Optional[tuple[float, float]], float, float]:
+    """(closed form, finiteness threshold, least lambda) of the dual, none of
+    which depends on m.  Raises what makes the dual +inf at every m:
+    UncertifiedGrowth for a custom loss, Infeasible when phi* (finite up to
+    the end of its domain) is +inf at the least lambda or a linear slope does
+    not exceed the threshold."""
+    form = loss.closed_form(cost.p)
+    thr = finiteness_threshold(loss, cost) if form is None else max(form)
+    lam_lo = thr if cost.p == 1.0 and form is not None else thr + 1e-8 * max(1.0, thr)
+    lam_end = phi.conjugate_domain_end()
+    if cost.p == 1.0:
+        if lam_end < lam_lo:
+            raise Infeasible(
+                f"conjugate is +inf at the finiteness threshold {thr!r}; "
+                "the dual objective is +inf for every lambda"
+            )
+    elif phi.conjugate_vanishes:
+        if lam_end <= thr:
+            # a finite end here is the slope of a linear penalty
+            raise Infeasible(
+                f"linear penalty slope {lam_end!r} does not exceed the "
+                f"finiteness threshold {thr!r}"
+            )
+    elif lam_end <= lam_lo:
+        raise Infeasible(
+            f"conjugate domain ends at {lam_end!r}, at or below the finiteness "
+            f"threshold {thr!r}"
+        )
+    return form, thr, lam_lo
+
+
 def _functional_detail(
     d: PriorDistribution,
     loss: LossSpec,
@@ -174,52 +210,27 @@ def _functional_detail(
     left end of the first piece where s - G is already nonnegative (lam_lo
     or a kink of phi*), else the root of G = s inside the piece where it
     turns, or lam_cap when it never does."""
-    form = loss.closed_form(cost.p)
-    thr = finiteness_threshold(loss, cost) if form is None else max(form)
-    lam_lo = thr + 1e-8 * max(1.0, thr)
+    form, thr, lam_lo = _dual_floor(loss, cost, phi)
 
     if cost.p == 1.0:
         # the transform is the loss itself from the threshold on (a convex
         # custom loss with l <= C(1 + |x|) has |l'| <= C) and phi* is
         # nondecreasing, so the infimum sits at the lower end of the range
-        lam = thr if form is not None else lam_lo
-        c = conjugate(phi, lam)
-        if math.isinf(c):
-            raise Infeasible(
-                f"conjugate is +inf at the finiteness threshold {thr!r}; "
-                "the dual objective is +inf for every lambda"
-            )
-        if form is None:
-            return expected_loss(d, loss, m) + c, lam, True
-        a, b = form
-        return a * partial_moment_plus(d, m, 1) + b * partial_moment_minus(d, m, 1) + c, lam, True
+        return expected_loss(d, loss, m) + conjugate(phi, lam_lo), lam_lo, True
 
     if form is None:
         mean, g = _numeric_dual(d, loss, cost, m, thr)
 
+    lam_cap = phi.conjugate_domain_end()
     if phi.conjugate_vanishes:
         # phi* is zero on its whole domain and the transform expectation is
         # nonincreasing in lambda: the infimum sits at the end of the domain
-        lam_end = phi.conjugate_domain_end()
-        if math.isinf(lam_end):
+        if math.isinf(lam_cap):
             # a ball of radius zero keeps only the baseline law; the dual
             # objective decreases to the classical expectation as lam -> inf
             return expected_loss(d, loss, m), INF, True
-        if lam_end <= thr:
-            # a finite end here is the slope of a linear penalty
-            raise Infeasible(
-                f"linear penalty slope {lam_end!r} does not exceed the "
-                f"finiteness threshold {thr!r}"
-            )
-        value = expected_transform(d, loss, cost, lam_end, m) if form is not None else mean(lam_end)
-        return value, lam_end, True
-
-    lam_cap = phi.conjugate_domain_end()
-    if lam_cap <= lam_lo:
-        raise Infeasible(
-            f"conjugate domain ends at {lam_cap!r}, at or below the finiteness "
-            f"threshold {thr!r}"
-        )
+        value = expected_transform(d, loss, cost, lam_cap, m) if form is not None else mean(lam_cap)
+        return value, lam_cap, True
 
     if form is not None:
         # p = 2: the prior enters the transform only through its second
@@ -334,21 +345,20 @@ def _closed_form_argmin(
     lo: float = -INF,
     hi: float = INF,
     fixed: Optional[tuple[float, float]] = None,
-) -> tuple[float, float, bool, int]:
-    """(m1, m2, certified, probes): the exact argmin set [m1, m2] over
-    [lo, hi] of shift*m + g(m), g the expectation or robust functional of
-    the closed form (a, b) under cost exponent p, whose derivative in m is
-    `slope`.  Under p = 2 with a > 0 (and b > 0 or a shift) it is one point.
-    When the slope's coefficients do not move with m (`fixed` = (A, B), the
+) -> tuple[float, float, bool]:
+    """(m1, m2, certified): the exact argmin set [m1, m2] over [lo, hi] of
+    shift*m + g(m), g the expectation or robust functional of the closed
+    form (a, b) under cost exponent p, whose derivative in m is `slope`.
+    Under p = 2 with a > 0 (and b > 0 or a shift) it is one point.  When
+    the slope's coefficients do not move with m (`fixed` = (A, B), the
     slope a positive multiple of shift - 2A*P1+(m) + 2B*P1-(m)) and the
     prior has finite support, the point is read from its atom tables
-    (`affine_root`), exact to rounding, and `probes` counts the table
-    probes.  Otherwise it is an end of a finite [lo, hi] where the slope
-    points inward, else the slope's root taken in z = m - centre, which
-    stops at m's own resolution and is certified when it lies in the sign
-    bracket of the slope evaluations (the largest m with slope <= 0 to the
-    smallest with slope >= 0), no wider than that stopping width plus the
-    rounding of centre + z.  The remaining cases are [q-(tau), q+(tau)] at
+    (`affine_root`), exact to rounding.  Otherwise it is an end of a finite
+    [lo, hi] where the slope points inward, else the slope's root taken in
+    z = m - centre, which stops at m's own resolution and is certified when
+    it lies in the sign bracket of the slope evaluations (the largest m with
+    slope <= 0 to the smallest with slope >= 0), no wider than that stopping
+    width plus the rounding of centre + z.  The remaining cases are [q-(tau), q+(tau)] at
     tau = (a - shift)/(a + b), clipped to [lo, hi]: with p = 1 the slope is
     shift - a + (a + b)*F(m), and a zero side under p = 2 is minimal where
     its one partial moment vanishes, a ray past the support (tau = 0 or 1).
@@ -357,16 +367,16 @@ def _closed_form_argmin(
     """
     if p == 2.0 and a > 0.0 and (b > 0.0 or shift):
         if fixed is not None and d.finite_support:
-            m, probes = d.affine_root(shift, 2.0 * fixed[0], 2.0 * fixed[1])  # type: ignore[union-attr]
+            m, _ = d.affine_root(shift, 2.0 * fixed[0], 2.0 * fixed[1])  # type: ignore[union-attr]
             m = min(max(m, lo), hi)
-            return m, m, True, probes
+            return m, m, True
         if lo > -INF and slope(lo) >= 0.0:
-            return lo, lo, True, 0
+            return lo, lo, True
         if hi < INF and slope(hi) <= 0.0:
-            return hi, hi, True, 0
+            return hi, hi, True
         center, span = d.center_and_span()
         if not shift and not (d.mass_above(center) or d.mass_below(center)):
-            return center, center, True, 0
+            return center, center, True
         xtol = max(1e-14, 2.0 * math.ulp(center))  # Brent's least step, xtol/2, moves m
         bracket = [-INF, INF]
 
@@ -382,7 +392,7 @@ def _closed_form_argmin(
         z = increasing_root(signed, -span, span, xtol)
         m = center + z
         width = xtol + 4.0 * _EPS * (abs(z) + abs(m))
-        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width, 0
+        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width
     if a + b == 0.0:  # a zero loss: the slope is the shift alone
         tau, m1, m2 = (-INF, -INF, -INF) if shift else (0.5, -INF, INF)
     else:
@@ -392,7 +402,7 @@ def _closed_form_argmin(
     if m1 == m2 and math.isinf(m1):
         fall = "approaches its infimum" if 0.0 <= tau <= 1.0 else "keeps decreasing toward -inf"
         raise NoConvergence(f"objective {fall} on the {'left' if m1 < 0.0 else 'right'}")
-    return m1, m2, True, 0
+    return m1, m2, True
 
 
 def _solve_outer(
@@ -410,18 +420,27 @@ def _solve_outer(
     is None) takes its exact set from `_closed_form_argmin`, a quantile set
     or the root of the slope [1 if add_m] - 2*A*P1+(m) + 2*B*P1-(m), with
     (A, B) the transform coefficients at the dual's lambda*(m) (Danskin's
-    theorem), certified by that solve itself; when lambda* is the same at
-    every m, (A, B) is passed as fixed, and a finite-support prior reads the
-    root from its atom tables.  Custom losses and mismatched
-    exponents run golden section in a bracket grown by doubling, locate the
-    edges of a flat bottom and certify them by one-sided slopes outside the
-    reported interval.  (value, lambda, boundary) is memoised per m, so
-    lambda at the minimizer is read back.
+    theorem), certified by that solve itself.  When lambda* is the same at
+    every m (no dual layer, a linear penalty, a ball of radius zero), (A, B)
+    is fixed: the slope takes no dual solve, a finite-support prior reads the
+    root from its atom tables, and the one dual solve is the value at m*.
+    Custom losses and mismatched exponents run golden section in a bracket
+    grown by doubling, locate the edges of a flat bottom and certify them by
+    one-sided slopes outside the reported interval.  A penalty infeasible
+    at every m raises before any search (`_dual_floor`).  (value, lambda,
+    boundary) is memoised per m, so lambda at the minimizer is read back.
     """
-    opt = options or SearchOptions()
     seen: dict[float, tuple[float, float, bool]] = {}
     p = loss.growth_bound()[1] if cost is None else cost.p
     form = loss.closed_form(p)
+    if phi is not None:
+        _dual_floor(loss, cost, phi)  # type: ignore[arg-type]
+    fixed = None
+    if form is not None and p == 2.0 and (phi is None or phi.conjugate_vanishes):
+        # lambda* is the end of phi*'s domain at every m (+inf for a ball of
+        # radius zero), so the slope's coefficients are fixed
+        lam = INF if phi is None else phi.conjugate_domain_end()
+        fixed = quad_transform_coefficients(*form, lam) if lam < INF else form
 
     def f(m: float) -> float:
         if m not in seen:
@@ -432,27 +451,21 @@ def _solve_outer(
         return m + seen[m][0] if add_m else seen[m][0]
 
     def slope(m: float) -> float:
-        f(m)
-        lam = seen[m][1]  # NaN with no dual layer, inf for a ball of radius zero
-        big_a, big_b = quad_transform_coefficients(*form, lam) if lam < INF else form  # type: ignore[misc]
+        if fixed is None:
+            f(m)
+            big_a, big_b = quad_transform_coefficients(*form, seen[m][1])  # type: ignore[misc]
+        else:
+            big_a, big_b = fixed
         return float(add_m) + _partial_moment_sum(d, -2.0 * big_a, 2.0 * big_b, 1.0, m)
 
-    center, span = d.center_and_span()
-    if phi is not None:
-        f(center)  # raise Infeasible before any search
-    restricted = opt.restrict_to_support and d.finite_support
+    restricted = options is not None and options.restrict_to_support and d.finite_support
     lo, hi = d.support if restricted else (-INF, INF)
     if form is not None:
-        fixed = None
-        if p == 2.0 and (phi is None or phi.conjugate_vanishes):
-            # lambda* is the end of phi*'s domain at every m (+inf for a
-            # ball of radius zero), so the slope's coefficients are fixed
-            lam = INF if phi is None else phi.conjugate_domain_end()
-            fixed = quad_transform_coefficients(*form, lam) if lam < INF else form
-        m1, m2, converged, _ = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
-        m_star = m1 if m1 > -INF else (m2 if m2 < INF else center)
+        m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
+        m_star = m1 if m1 > -INF else (m2 if m2 < INF else d.center_and_span()[0])
         f_min = f(m_star)
     else:
+        center, span = d.center_and_span()
         bracket = (lo, hi, False, False) if restricted else expand_bracket(f, center - span, center + span)
         lo, hi, flat_left, flat_right = bracket
         m_star, f_min, hit_cap = golden_section_min(f, lo, hi)

@@ -31,6 +31,7 @@ from wassrisk import (
 )
 
 from wassrisk import risk_measures, robust_core
+from wassrisk.risk_measures import robust_generalized_quantile_detail
 
 from conftest import coupled_arrays, emp, random_empirical
 
@@ -369,6 +370,20 @@ class TestRobustGeneralizedQuantile:
             assert m1 == m2
             assert m1 == pytest.approx(oracle, abs=1e-6)
             assert robust_expectile_ball(d, alpha, radius) == pytest.approx(oracle, abs=1e-6)
+
+    def test_expectiles_are_the_quantile_solve(self, rng):
+        # the classical and both robust expectiles are generalized quantiles
+        # of the squared asymmetric loss, and the same solve, bit for bit
+        loss = AsymQuadratic(0.7)
+        for d in (Normal(0.2, 1.3), StudentT(5.0, -0.1, 0.8), Exponential(1.7), random_empirical(rng, max_atoms=20)):
+
+            def solve(phi):
+                return robust_generalized_quantile_detail(d, loss, P2, phi).argmin_m[0]
+
+            assert robust_expectile_linear(d, 0.7, 1.6) == solve(LinearPenalty(1.6))
+            for radius in (0.0, 0.4):
+                assert robust_expectile_ball(d, 0.7, radius) == solve(BallPenalty(radius))
+            assert expectile(d, 0.7) == solve(BallPenalty(0.0))
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):

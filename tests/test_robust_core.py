@@ -689,13 +689,30 @@ class TestEnvelopeRoot:
         assert near.converged and far.converged
         assert far.evaluations <= near.evaluations
 
-    def test_quantile_set_takes_two_dual_solves(self):
-        # one at the centre, which checks feasibility, and one at the set
-        # read from the cdf
+    def test_quantile_set_takes_one_dual_solve(self):
+        # the value at the set read from the cdf; feasibility takes none
         four = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
         rv = robust_generalized_quantile_detail(four, Pinball(0.3), P1, LinearPenalty(2.0))
         assert rv.argmin_m == (0.2, 0.2) and rv.converged
-        assert rv.evaluations <= 2
+        assert rv.evaluations == 1
+
+    def test_infeasible_penalty_raises_before_any_dual_solve(self, monkeypatch):
+        # feasibility does not depend on m: a penalty whose conjugate is +inf
+        # at the threshold 0.7, or ends at or below it, raises Infeasible
+        # without solving the dual at any m (with no dual solve to raise it,
+        # the p = 1 quantile set would raise NoConvergence instead)
+        def refuse(*args, **kwargs):
+            raise AssertionError("feasibility must not take a dual solve")
+
+        monkeypatch.setattr(robust_core, "_functional_detail", refuse)
+        four = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+        short = PiecewiseLinearPenalty(((0.0, 0.2), (1.0, 0.6)))
+        for loss, cost in ((Pinball(0.3), P1), (AsymQuadratic(0.3), P2)):
+            for phi in (LinearPenalty(0.5), short):
+                with pytest.raises(Infeasible):
+                    robust_oce(four, loss, cost, phi)
+                with pytest.raises(Infeasible):
+                    robust_generalized_quantile_detail(four, loss, cost, phi)
 
     def test_no_golden_bracket_or_edge_solver_runs(self, monkeypatch, rng):
         def refuse(*args, **kwargs):
@@ -760,7 +777,7 @@ class TestTableRoot:
 
                 table = robust_core._closed_form_argmin(d, a, b, 2.0, shift, slope, fixed=(a, b))
                 brent = robust_core._closed_form_argmin(d, a, b, 2.0, shift, slope)
-                assert table[2] and brent[2] and table[3] > 0 == brent[3]
+                assert table[2] and brent[2]
                 lo, hi = d.support
                 scale = max(1.0, abs(lo), abs(hi), abs(table[0]))
                 assert abs(table[0] - brent[0]) <= 1e-14 * scale
@@ -796,15 +813,22 @@ class TestTableRoot:
         with pytest.raises(AssertionError, match="must not root"):
             expectile(Normal(0.0, 1.0), 0.7)
 
-    def test_far_minimizer_takes_two_dual_solves(self):
+    def test_far_minimizer_takes_one_dual_solve(self):
         # AsymQuadratic(1e-6) under LinearPenalty(2) has A ~ 1e-6, so the
         # OCE's minimizer mean - 1/(2A) lies about 5e5 below the atoms: read
-        # from the left ray, with a dual solve at the centre and one there
+        # from the left ray, with one dual solve there
         d = Empirical.uniform([0.3, 1.0, 1.7, 2.6])
         big_a = quad_transform_coefficients(1e-6, 1.0 - 1e-6, 2.0)[0]
         rv = robust_oce(d, AsymQuadratic(1e-6), P2, LinearPenalty(2.0))
-        assert rv.converged and rv.evaluations == 2
+        assert rv.converged and rv.evaluations == 1
         assert rv.argmin_m[0] == rv.argmin_m[1] == pytest.approx(1.4 - 0.5 / big_a, rel=1e-15)
+
+    def test_far_minimizer_on_a_normal_takes_one_dual_solve(self):
+        # the same ray on a normal prior: the root's bracket doubles out to
+        # m* ~ -5e5, and with lambda fixed its slope takes no dual solve
+        rv = robust_oce(Normal(0.3, 1.7), AsymQuadratic(1e-6), P2, LinearPenalty(2.0))
+        assert rv.converged and rv.evaluations == 1
+        assert rv.value.hex() == "-0x1.e847c999815b6p+17"
 
     def test_restricted_root_clips_to_the_first_atom(self, rng):
         d = random_empirical(rng, max_atoms=12)

@@ -13,8 +13,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from wassrisk import Empirical, NoConvergence, Normal, StudentT, cli, robust_core
-from wassrisk.risk_measures import _asymmetric_root_stats
+from wassrisk import Empirical, NoConvergence, Normal, StudentT, cli, expectile, robust_core
 from wassrisk.solvers import _brent, increasing_root
 
 
@@ -105,10 +104,14 @@ def test_widened_bracket_hands_its_end_values_on():
     assert _bits(seen[4:]) == _bits(expected[2:])
 
 
-@pytest.mark.parametrize("d, count", [(Normal(0.0, 1.0), 8), (StudentT(7.3, 0.1, 1.2), 9)])
+@pytest.mark.parametrize("d, count", [(Normal(0.0, 1.0), 9), (StudentT(7.3, 0.1, 1.2), 9)])
 def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
+    # the root's slope takes no expectation of the loss: that is taken once,
+    # at the root
     ms: list[float] = []
     root = robust_core.increasing_root
+    expected_loss = robust_core.expected_loss
+    values = []
 
     def recording_root(f, lo, hi, xtol):
         def g(z):
@@ -117,20 +120,35 @@ def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
 
         return root(g, lo, hi, xtol)
 
+    def recording_loss(*args):
+        values.append(expected_loss(*args))
+        return values[-1]
+
     monkeypatch.setattr(robust_core, "increasing_root", recording_root)
-    _, evaluations = _asymmetric_root_stats(d, 0.8, 0.3)
-    assert evaluations == len(ms) == count
+    monkeypatch.setattr(robust_core, "expected_loss", recording_loss)
+    expectile(d, 0.8)
+    assert len(ms) == count and len(values) == 1
     assert len(set(ms)) == len(ms)
 
 
 def test_expectile_on_atoms_counts_its_table_probes(monkeypatch):
     # a finite-support prior reads the root from its atom tables: no root
-    # runs, and the count is the bisection's probes, one per table entry read
+    # runs, and the one table read takes the bisection's probes, one per
+    # table entry read
     monkeypatch.setattr(robust_core, "increasing_root", lambda *args: pytest.fail("a root ran"))
-    m, evaluations = _asymmetric_root_stats(Empirical.uniform([1.0, 2.0, 3.0, 7.0]), 0.8, 0.3)
-    assert abs(m - 74.0 / 17.0) <= 2.0 * math.ulp(74.0 / 17.0) and evaluations == 2
-    m, evaluations = _asymmetric_root_stats(Empirical.uniform(range(1000)), 0.8, 0.3)
-    assert evaluations == 10
+    probes = []
+    read = Empirical.affine_root
+
+    def recording_read(self, *args):
+        out = read(self, *args)
+        probes.append(out[1])
+        return out
+
+    monkeypatch.setattr(Empirical, "affine_root", recording_read)
+    m = expectile(Empirical.uniform([1.0, 2.0, 3.0, 7.0]), 0.8)
+    assert abs(m - 34.0 / 7.0) <= 2.0 * math.ulp(34.0 / 7.0) and probes == [2]
+    expectile(Empirical.uniform(range(1000)), 0.8)
+    assert probes == [2, 10]
 
 
 class TestTypedFailures:

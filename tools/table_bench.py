@@ -17,11 +17,11 @@ interpreter times
 each as the median over 5 batches of the mean time per call in a batch of
 about 20 ms.  Per tree the table gives the median and quartiles over
 launches, in microseconds per call, and each solve's count, which is
-deterministic: the FOC evaluations (or atom-table probes) that
-`risk_measures._asymmetric_root_stats` reports for the two expectiles, and
-the dual solves at distinct m (`RobustValue.evaluations`) for the OCE.  The
-last lines count, per (atoms, operation), the launch pairs in which CHANGE
-was faster.  Needs only the standard library in this process.
+deterministic: the atom-table probes of the one `Empirical.affine_root`
+read behind each expectile, and the dual solves at distinct m
+(`RobustValue.evaluations`) for the OCE.  The last lines count, per (atoms,
+operation), the launch pairs in which CHANGE was faster.  Needs only the
+standard library in this process.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ PROBE = """
 import json, statistics, sys, time
 import numpy as np
 from wassrisk import AsymQuadratic, CostExponent, Empirical, LinearPenalty, expectile, robust_expectile_linear, robust_oce
-from wassrisk.risk_measures import ExpectileLevel, _asymmetric_root_stats
+from wassrisk.risk_measures import ExpectileLevel
 
 def per_call_us(fn):
     calls, t0 = 0, time.perf_counter()
@@ -76,8 +76,8 @@ for n in json.loads(sys.argv[1]):
             "linear_oce": per_call_us(lambda: robust_oce(d, loss, cost, phi)),
         },
         "count": {
-            "expectile": _asymmetric_root_stats(d, 0.8, 0.2)[1],
-            "linear_expectile": _asymmetric_root_stats(d, level.coefficient_plus, level.coefficient_minus)[1],
+            "expectile": d.affine_root(0.0, 2.0 * 0.8, 2.0 * (1.0 - 0.8))[1],
+            "linear_expectile": d.affine_root(0.0, 2.0 * level.coefficient_plus, 2.0 * level.coefficient_minus)[1],
             "linear_oce": robust_oce(d, loss, cost, phi).evaluations,
         },
     }
