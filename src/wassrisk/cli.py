@@ -92,13 +92,16 @@ def parse_prior_spec(spec: str) -> PriorDistribution:
 
 
 def parse_grid(text: str, flag: str) -> list[float]:
-    """Comma list `0.1,0.3` or range `1:10:0.5` (inclusive endpoints)."""
+    """Comma list `0.1,0.3` or range `1:10:0.5` (inclusive endpoints) of
+    finite numbers."""
     text = text.strip()
     try:
         if ":" in text:
             parts = [float(p) for p in text.split(":")]
             if len(parts) != 3:
                 raise ValueError("range needs start:stop:step")
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("values must be finite")
             start, stop, step = parts
             if step <= 0:
                 raise ValueError("step must be positive")
@@ -111,7 +114,10 @@ def parse_grid(text: str, flag: str) -> list[float]:
                 out.append(round(v, 12))
                 k += 1
             return out
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        out = [float(tok) for tok in text.split(",") if tok.strip()]
+        if not all(map(math.isfinite, out)):
+            raise ValueError("values must be finite")
+        return out
     except ValueError as exc:
         raise UsageError(f"invalid {flag} {text!r}: {exc}")
 
@@ -213,6 +219,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = parse_grid(args.delta, "--delta")
     if not alphas or not deltas:
         raise UsageError("sweep grids must be nonempty")
+    if not all(0.0 < alpha < 1.0 for alpha in alphas):
+        raise UsageError("--alpha grid values must lie in (0, 1)")
+    if args.penalty == "ball" and min(deltas) < 0.0:
+        raise UsageError("--delta grid values must be nonnegative for a ball")
     for name, grid in (("--alpha", alphas), ("--delta", deltas)):
         if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
             raise UsageError(f"{name} grid must be strictly increasing")

@@ -27,19 +27,17 @@ decreases, so the minimizer is a piece's left end or one root inside one
 piece.  The quadratic family with p = 2 has G in closed form from the prior's
 second partial moments at m, taken once, and its own root; other losses read
 y* from the numeric supremum, one per lambda, and root with
-`solvers.increasing_root`.  Every closed form takes its outer argmin set
-exactly (`_closed_form_argmin`): with p = 2 and a > 0 a root of the slope in
-m, which the envelope theorem gives in closed form; with p = 1, or a zero
-side, a quantile set read from the cdf.  Where lambda does not move with m
-(no dual layer, a linear penalty, a ball of radius zero) the slope takes no
-dual solve, and a finite-support prior reads the root from its atom tables.
-Each certifies itself: a set read from the cdf or the atom tables is exact,
-and a root holds the sign bracket of its own slope evaluations.  Custom
-losses and mismatched exponents search m by golden section, with the
-`solvers` budgets, and certify it by one-sided steps.  One outer solve
-(`_solve_outer`) serves every measure: the OCEs, the generalized quantiles
-and, through them, the expectiles.  What makes the dual +inf at every m is
-checked once, before any search (`_dual_floor`).
+`solvers.increasing_root`.  Every outer argmin set is where the m-slope
+changes sign: a closed form's slope is exact (Danskin's theorem), a quantile
+set read from the cdf under p = 1 or a zero side, or a root that a
+finite-support prior reads from its atom tables where lambda does not move
+with m; other losses take y* or a backward difference of the loss, with a
+rounding band, and the set between the roots of slope plus and minus band.
+Each set certifies itself: a read is exact, and a root holds the sign
+bracket of its own slope evaluations.  One outer solve (`_solve_outer`)
+serves every measure: the OCEs, the generalized quantiles and, through
+them, the expectiles.  What makes the dual +inf at every m is checked once,
+before any search (`_dual_floor`).
 """
 
 from __future__ import annotations
@@ -68,21 +66,11 @@ from .losses import (
     transform_coefficients,
 )
 from .penalizations import Penalization, conjugate
-from .solvers import (
-    FLAT_VALUE_TOL,
-    INTERVAL_RESOLUTION,
-    MAX_ITER,
-    expand_bracket,
-    flat_minimum_edges,
-    golden_section_min,
-    increasing_root,
-)
+from .solvers import MAX_ITER, increasing_root
 
 INF = math.inf
 _EPS = float(np.finfo(float).eps)
 
-# the largest slope the golden path's certificate accepts outside the argmin
-FOC_TOL = 1e-5
 # how close to an end of its range lambda is flagged boundary_lambda
 BOUNDARY_GAP = 1e-8
 # a Newton step this small relative to lambda ends the exact lambda solve
@@ -103,10 +91,10 @@ class RobustValue:
 
     argmin_m is the closed set of minimizers, never collapsed to an
     arbitrary point: exact for a closed form, an end at -inf or +inf for a
-    ray flat past the support; a custom loss's flat bottom has its edges
-    located to 1e-6.  argmin_lambda is the dual variable at the reported
-    minimizer, with boundary_lambda flagging solutions sitting on the edge
-    of the conjugate's domain.
+    ray flat past the support; without a closed form, the roots of the
+    m-slope plus and minus its rounding band.  argmin_lambda is the dual
+    variable at the reported minimizer, with boundary_lambda flagging
+    solutions sitting on the edge of the conjugate's domain.
     """
 
     value: float
@@ -172,7 +160,7 @@ def _dual_floor(
     not exceed the threshold."""
     form = loss.closed_form(cost.p)
     thr = finiteness_threshold(loss, cost) if form is None else max(form)
-    lam_lo = thr if cost.p == 1.0 and form is not None else thr + 1e-8 * max(1.0, thr)
+    lam_lo = thr if cost.p == 1.0 else thr + 1e-8 * max(1.0, thr)
     lam_end = phi.conjugate_domain_end()
     if cost.p == 1.0:
         if lam_end < lam_lo:
@@ -201,25 +189,28 @@ def _functional_detail(
     cost: CostExponent,
     phi: Penalization,
     m: float,
-) -> tuple[float, float, bool]:
-    """(value, argmin lambda, boundary flag) of the dual minimization at m.
+) -> tuple[float, float, bool, Optional[np.ndarray]]:
+    """(value, argmin lambda, boundary flag, y*) of the dual minimization at m.
 
-    A loss without a closed form has its growth certified here, once, for
-    every numeric supremum below.  On a linear piece of phi* with slope s the
-    dual's derivative is s - G(lam), G decreasing, so the minimizer is the
-    left end of the first piece where s - G is already nonnegative (lam_lo
-    or a kink of phi*), else the root of G = s inside the piece where it
-    turns, or lam_cap when it never does."""
+    y* is None for a closed form and wherever the dual collapses to
+    E[l(X - m)] plus a constant (p = 1, lambda = inf); otherwise it is the
+    numeric supremum's maximizer per atom of the prior at lambda*, in
+    z = x - m.  A loss without a closed form has its growth
+    certified here, once, for every numeric supremum below.  On a linear
+    piece of phi* with slope s the dual's derivative is s - G(lam), G
+    decreasing, so the minimizer is the left end of the first piece where
+    s - G is already nonnegative (lam_lo or a kink of phi*), else the root
+    of G = s inside the piece where it turns, or lam_cap when it never does."""
     form, thr, lam_lo = _dual_floor(loss, cost, phi)
 
     if cost.p == 1.0:
         # the transform is the loss itself from the threshold on (a convex
         # custom loss with l <= C(1 + |x|) has |l'| <= C) and phi* is
         # nondecreasing, so the infimum sits at the lower end of the range
-        return expected_loss(d, loss, m) + conjugate(phi, lam_lo), lam_lo, True
+        return expected_loss(d, loss, m) + conjugate(phi, lam_lo), lam_lo, True, None
 
     if form is None:
-        mean, g = _numeric_dual(d, loss, cost, m, thr)
+        mean, g, sup = _numeric_dual(d, loss, cost, m, thr)
 
     lam_cap = phi.conjugate_domain_end()
     if phi.conjugate_vanishes:
@@ -228,9 +219,10 @@ def _functional_detail(
         if math.isinf(lam_cap):
             # a ball of radius zero keeps only the baseline law; the dual
             # objective decreases to the classical expectation as lam -> inf
-            return expected_loss(d, loss, m), INF, True
-        value = expected_transform(d, loss, cost, lam_cap, m) if form is not None else mean(lam_cap)
-        return value, lam_cap, True
+            return expected_loss(d, loss, m), INF, True, None
+        if form is not None:
+            return expected_transform(d, loss, cost, lam_cap, m), lam_cap, True, None
+        return mean(lam_cap), lam_cap, True, sup(lam_cap)[1]
 
     if form is not None:
         # p = 2: the prior enters the transform only through its second
@@ -270,15 +262,17 @@ def _functional_detail(
     if math.isinf(value):
         raise Infeasible("dual objective is +inf on the whole feasible range")
     boundary = lam_star - lam_lo <= BOUNDARY_GAP or lam_cap - lam_star <= BOUNDARY_GAP
-    return value + conjugate(phi, lam_star), lam_star, boundary
+    ystar = None if form is not None else sup(lam_star)[1]
+    return value + conjugate(phi, lam_star), lam_star, boundary, ystar
 
 
 def _numeric_dual(
     d: PriorDistribution, loss: LossSpec, cost: CostExponent, m: float, c_eff: float
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """(mean, G) at m for a loss without a closed form: E[l^{lam c}(X - m)]
+) -> tuple[Callable[[float], float], Callable[[float], float], Callable[[float], tuple]]:
+    """(mean, G, sup) at m for a loss without a closed form: E[l^{lam c}(X - m)]
     and minus its lambda-slope G(lam) = E[|X - m - y*|^p], y* each atom's
-    maximizer, both from one numeric supremum per lambda; G(inf) = 0."""
+    maximizer, both from one numeric supremum per lambda, kept by `sup`;
+    G(inf) = 0."""
     xs, w = d.atoms()
     xs = xs - m
 
@@ -292,7 +286,7 @@ def _numeric_dual(
     def g(lam: float) -> float:
         return 0.0 if math.isinf(lam) else float(np.dot(w, np.abs(xs - sup(lam)[1]) ** cost.p))
 
-    return mean, g
+    return mean, g, sup
 
 
 def _quadratic_root(a: float, b: float, plus: float, minus: float, slope: float, lam: float) -> float:
@@ -335,6 +329,37 @@ def robust_functional(
     return _functional_detail(d, loss, cost, phi, float(m))[0]
 
 
+def _slope_root(
+    slope: Callable[[float], float], center: float, span: float, lo: float, hi: float
+) -> tuple[float, bool]:
+    """(m, certified): an end of a finite [lo, hi] where the nondecreasing
+    slope points inward, else its root taken in z = m - centre, which stops
+    at m's own resolution and is certified when it lies in the sign bracket
+    of the slope evaluations (the largest m with slope <= 0 to the smallest
+    with slope >= 0), no wider than that stopping width plus the rounding of
+    centre + z.  increasing_root's NoConvergence passes through."""
+    if lo > -INF and slope(lo) >= 0.0:
+        return lo, True
+    if hi < INF and slope(hi) <= 0.0:
+        return hi, True
+    xtol = max(1e-14, 2.0 * math.ulp(center))  # Brent's least step, xtol/2, moves m
+    bracket = [-INF, INF]
+
+    def signed(z: float) -> float:
+        m = center + z
+        s = slope(m)
+        if s <= 0.0:
+            bracket[0] = max(bracket[0], m)
+        if s >= 0.0:
+            bracket[1] = min(bracket[1], m)
+        return s
+
+    z = increasing_root(signed, -span, span, xtol)
+    m = center + z
+    width = xtol + 4.0 * _EPS * (abs(z) + abs(m))
+    return m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width
+
+
 def _closed_form_argmin(
     d: PriorDistribution,
     a: float,
@@ -349,50 +374,27 @@ def _closed_form_argmin(
     """(m1, m2, certified): the exact argmin set [m1, m2] over [lo, hi] of
     shift*m + g(m), g the expectation or robust functional of the closed
     form (a, b) under cost exponent p, whose derivative in m is `slope`.
-    Under p = 2 with a > 0 (and b > 0 or a shift) it is one point.  When
-    the slope's coefficients do not move with m (`fixed` = (A, B), the
-    slope a positive multiple of shift - 2A*P1+(m) + 2B*P1-(m)) and the
-    prior has finite support, the point is read from its atom tables
-    (`affine_root`), exact to rounding.  Otherwise it is an end of a finite
-    [lo, hi] where the slope points inward, else the slope's root taken in
-    z = m - centre, which stops at m's own resolution and is certified when
-    it lies in the sign bracket of the slope evaluations (the largest m with
-    slope <= 0 to the smallest with slope >= 0), no wider than that stopping
-    width plus the rounding of centre + z.  The remaining cases are [q-(tau), q+(tau)] at
-    tau = (a - shift)/(a + b), clipped to [lo, hi]: with p = 1 the slope is
-    shift - a + (a + b)*F(m), and a zero side under p = 2 is minimal where
-    its one partial moment vanishes, a ray past the support (tau = 0 or 1).
-    Every set but the Brent root is exact.  Raises NoConvergence when the
-    set has no finite point.
+    Under p = 2 with a > 0 (and b > 0 or a shift) it is one point, read from
+    a finite-support prior's atom tables (`affine_root`) when the slope's
+    coefficients do not move with m (`fixed` = (A, B), the slope then
+    shift - 2A*P1+(m) + 2B*P1-(m)), else the slope's root (`_slope_root`).
+    The remaining cases are [q-(tau), q+(tau)] at tau = (a - shift)/(a + b),
+    clipped to [lo, hi]: with p = 1 the slope is shift - a + (a + b)*F(m),
+    and a zero side under p = 2 is minimal where its one partial moment
+    vanishes, a ray past the support (tau = 0 or 1).  Every set but the
+    Brent root is exact.  Raises NoConvergence when the set has no finite
+    point.
     """
     if p == 2.0 and a > 0.0 and (b > 0.0 or shift):
         if fixed is not None and d.finite_support:
             m, _ = d.affine_root(shift, 2.0 * fixed[0], 2.0 * fixed[1])  # type: ignore[union-attr]
             m = min(max(m, lo), hi)
             return m, m, True
-        if lo > -INF and slope(lo) >= 0.0:
-            return lo, lo, True
-        if hi < INF and slope(hi) <= 0.0:
-            return hi, hi, True
         center, span = d.center_and_span()
         if not shift and not (d.mass_above(center) or d.mass_below(center)):
             return center, center, True
-        xtol = max(1e-14, 2.0 * math.ulp(center))  # Brent's least step, xtol/2, moves m
-        bracket = [-INF, INF]
-
-        def signed(z: float) -> float:
-            m = center + z
-            s = slope(m)
-            if s <= 0.0:
-                bracket[0] = max(bracket[0], m)
-            if s >= 0.0:
-                bracket[1] = min(bracket[1], m)
-            return s
-
-        z = increasing_root(signed, -span, span, xtol)
-        m = center + z
-        width = xtol + 4.0 * _EPS * (abs(z) + abs(m))
-        return m, m, bracket[0] <= m <= bracket[1] and bracket[1] - bracket[0] <= width
+        m, certified = _slope_root(slope, center, span, lo, hi)
+        return m, m, certified
     if a + b == 0.0:  # a zero loss: the slope is the shift alone
         tau, m1, m2 = (-INF, -INF, -INF) if shift else (0.5, -INF, INF)
     else:
@@ -416,21 +418,19 @@ def _solve_outer(
     """The one outer minimization over m, of m + E_phi(l, X, m) (add_m) or of
     E_phi(l, X, m) alone; phi None drops the dual layer, leaving E[l(X - m)].
 
-    A closed form (a, b) under p in {1, 2} (the loss's own exponent when phi
-    is None) takes its exact set from `_closed_form_argmin`, a quantile set
-    or the root of the slope [1 if add_m] - 2*A*P1+(m) + 2*B*P1-(m), with
-    (A, B) the transform coefficients at the dual's lambda*(m) (Danskin's
-    theorem), certified by that solve itself.  When lambda* is the same at
-    every m (no dual layer, a linear penalty, a ball of radius zero), (A, B)
-    is fixed: the slope takes no dual solve, a finite-support prior reads the
-    root from its atom tables, and the one dual solve is the value at m*.
-    Custom losses and mismatched exponents run golden section in a bracket
-    grown by doubling, locate the edges of a flat bottom and certify them by
-    one-sided slopes outside the reported interval.  A penalty infeasible
-    at every m raises before any search (`_dual_floor`).  (value, lambda,
-    boundary) is memoised per m, so lambda at the minimizer is read back.
+    Every argmin set is where the m-slope [1 if add_m] - E[psi(X - m)]
+    changes sign, psi the transform's derivative at the dual's lambda*(m)
+    (Danskin's theorem).  A closed form (a, b) under p in {1, 2} (the loss's
+    own exponent when phi is None) takes its exact set from
+    `_closed_form_argmin`, with psi(z) = 2*A*z^+ - 2*B*z^- for the transform
+    coefficients (A, B) at lambda*(m), fixed where lambda* is the same at
+    every m (no dual layer, a linear penalty, a ball of radius zero) so that
+    the slope takes no dual solve.  Other losses take theirs from
+    `_numeric_argmin`.  A penalty infeasible at every m raises before any
+    search (`_dual_floor`).  The value is the objective at a finite point of
+    the set; (value, lambda, boundary, y*) is memoised per m.
     """
-    seen: dict[float, tuple[float, float, bool]] = {}
+    seen: dict[float, tuple] = {}
     p = loss.growth_bound()[1] if cost is None else cost.p
     form = loss.closed_form(p)
     if phi is not None:
@@ -442,60 +442,106 @@ def _solve_outer(
         lam = INF if phi is None else phi.conjugate_domain_end()
         fixed = quad_transform_coefficients(*form, lam) if lam < INF else form
 
-    def f(m: float) -> float:
+    def dual(m: float) -> tuple:
         if m not in seen:
             if phi is None:
-                seen[m] = (expected_loss(d, loss, m), math.nan, False)
+                seen[m] = (expected_loss(d, loss, m), math.nan, False, None)
             else:
                 seen[m] = _functional_detail(d, loss, cost, phi, m)  # type: ignore[arg-type]
-        return m + seen[m][0] if add_m else seen[m][0]
-
-    def slope(m: float) -> float:
-        if fixed is None:
-            f(m)
-            big_a, big_b = quad_transform_coefficients(*form, seen[m][1])  # type: ignore[misc]
-        else:
-            big_a, big_b = fixed
-        return float(add_m) + _partial_moment_sum(d, -2.0 * big_a, 2.0 * big_b, 1.0, m)
+        return seen[m]
 
     restricted = options is not None and options.restrict_to_support and d.finite_support
     lo, hi = d.support if restricted else (-INF, INF)
     if form is not None:
+
+        def slope(m: float) -> float:
+            if fixed is None:
+                big_a, big_b = quad_transform_coefficients(*form, dual(m)[1])  # type: ignore[misc]
+            else:
+                big_a, big_b = fixed
+            return float(add_m) + _partial_moment_sum(d, -2.0 * big_a, 2.0 * big_b, 1.0, m)
+
         m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
-        m_star = m1 if m1 > -INF else (m2 if m2 < INF else d.center_and_span()[0])
-        f_min = f(m_star)
     else:
-        center, span = d.center_and_span()
-        bracket = (lo, hi, False, False) if restricted else expand_bracket(f, center - span, center + span)
-        lo, hi, flat_left, flat_right = bracket
-        m_star, f_min, hit_cap = golden_section_min(f, lo, hi)
-        m1, m2 = flat_minimum_edges(f, m_star, f_min, lo, hi)
-        if flat_left and m1 <= lo + INTERVAL_RESOLUTION:
-            m1 = lo
-        if flat_right and m2 >= hi - INTERVAL_RESOLUTION:
-            m2 = hi
-        # one step h outside either end, the objective must not fall by more
-        # than a slope of FOC_TOL or 2 * FLAT_VALUE_TOL, the objective's own
-        # accuracy (partial moments with noise near 1e-10, an atom just past
-        # an edge)
-        h = INTERVAL_RESOLUTION
-        left_ok = right_ok = True
-        if m1 - h > lo:
-            fall = f(m1) - f(m1 - h)
-            left_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
-        if m2 + h < hi:
-            fall = f(m2) - f(m2 + h)
-            right_ok = fall / h <= FOC_TOL or fall <= 2.0 * FLAT_VALUE_TOL
-        converged = not hit_cap and left_ok and right_ok
-    _, lam_star, boundary = seen[m_star]
+        # the dual is E[l(X - m)] plus a constant with no dual layer, at
+        # p = 1 and for a ball of radius zero (lambda* = inf)
+        collapsed = phi is None or p == 1.0 or (phi.conjugate_vanishes and math.isinf(phi.conjugate_domain_end()))
+        m1, m2, converged = _numeric_argmin(d, loss, p, add_m, None if collapsed else dual, lo, hi)
+    m_star = m1 if m1 > -INF else (m2 if m2 < INF else d.center_and_span()[0])
+    value, lam_star, boundary, _ = dual(m_star)
     return RobustValue(
-        value=f_min,
+        value=m_star + value if add_m else value,
         argmin_m=(m1, m2),
         argmin_lambda=lam_star,
         evaluations=len(seen),
         converged=converged,
         boundary_lambda=boundary,
     )
+
+
+def _numeric_argmin(
+    d: PriorDistribution, loss: LossSpec, p: float, add_m: bool, dual: Optional[Callable], lo: float, hi: float
+) -> tuple[float, float, bool]:
+    """(m1, m2, certified) for a loss without a closed form, from its m-slope
+    s = [1 if add_m] - E[psi(Z)] on Z = X - m, which does not move under a
+    shift, and the slope's rounding band eps.  With `dual`, the dual solve
+    at m, psi(z) = lam*p*|y* - z|^(p-1)*sign(y* - z) at its lambda* and
+    maximizers y*, and eps spans psi over y*'s resolution r: a smooth
+    maximum is placed only to where the transform's objective falls by its
+    rounding below the top, r = sqrt(2*rounding/curvature) from its second
+    difference over y* -+ 1e-3 (the supremum's grid step), between that step
+    and the supremum's 1e-12 relative bracket.  Without it the dual is
+    E[l(Z)] plus a constant and psi the backward difference
+    (l(z) - l(z - h))/h, h the power of two nearest 1e-9 times the larger of
+    the prior's span and |m - centre| (z - h must differ from z far out),
+    with eps = 4*eps_mach*E[|l(z)| + |l(z - h)|]/h.  m1 is the root of
+    s + eps and m2 that of s - eps (`_slope_root`).  A side with no sign
+    change is a ray, its end at -inf or +inf, when s lies inside its band at
+    the farthest probe; otherwise the root's NoConvergence stands."""
+    xs, w = d.atoms()
+    center, span = d.center_and_span()
+
+    @functools.cache
+    def slope(m: float) -> tuple[float, float]:
+        z = xs - m
+        if dual is None:
+            h = 2.0 ** round(math.log2(1e-9 * max(span, abs(m - center))))
+            now, before = loss_value(loss, z), loss_value(loss, z - h)
+            psi = float(np.dot(w, now - before)) / h
+            eps = 4.0 * _EPS * float(np.dot(w, np.abs(now) + np.abs(before))) / h
+        else:
+            _, lam, _, y = dual(m)
+
+            def mean_psi(y: np.ndarray) -> float:
+                gap = y - z
+                return lam * p * float(np.dot(w, np.abs(gap) ** (p - 1.0) * np.sign(gap)))
+
+            def objective(y: np.ndarray) -> np.ndarray:  # the transform's l(y) - lam*|y - z|^p
+                return np.asarray(loss_value(loss, y), dtype=float) - lam * np.abs(y - z) ** p
+
+            step, top = 1e-3, objective(y)
+            fall = 2.0 * top - objective(y - step) - objective(y + step)
+            rounding = 4.0 * _EPS * (np.abs(top) + 2.0 * lam * np.abs(y - z) ** p)  # covers |l| + cost
+            r = step * np.sqrt(np.divide(2.0 * rounding, fall, out=np.ones_like(fall), where=fall > 2.0 * rounding))
+            r = np.maximum(r, 1e-12 * np.maximum(1.0, np.abs(y)))
+            psi = mean_psi(y)
+            eps = 0.5 * (mean_psi(y + r) - mean_psi(y - r))
+        return float(add_m) - psi, eps
+
+    ends, certified = [], True
+    for sign in (1.0, -1.0):
+        try:
+            m, ok = _slope_root(lambda m, sign=sign: slope(m)[0] + sign * slope(m)[1], center, span, lo, hi)
+        except NoConvergence as exc:
+            if exc.last is None or not sign * exc.last[1] > 0.0:
+                raise
+            s, eps = slope(center + exc.last[0])
+            if sign * s > eps:
+                raise
+            m, ok = -sign * INF, True
+        ends.append(m)
+        certified = certified and ok
+    return min(ends), max(ends), certified
 
 
 def robust_oce(

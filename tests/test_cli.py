@@ -359,6 +359,31 @@ class TestSweep:
         )
         assert code == 1 and "strictly increasing" in err
 
+    @pytest.mark.parametrize(
+        "penalty, alpha, delta",
+        [
+            ("linear", "0.8", "1,nan"),
+            ("linear", "0.8", "1,inf"),
+            ("ball", "0.8", "0,inf"),
+            ("ball", "0.5,nan", "0.5"),
+            ("ball", "0.5,1.2", "0.5"),
+            ("ball", "0.8", "-0.5,0.5"),
+        ],
+    )
+    def test_bad_grid_rejected_before_any_row(self, capsys, tmp_path, monkeypatch, penalty, alpha, delta):
+        def refuse(*args):
+            raise AssertionError("a bad grid must not solve a row")
+
+        monkeypatch.setattr(cli, "_sweep_point", refuse)
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys,
+            "sweep", "--prior", "normal:0,1", "--penalty", penalty,
+            "--alpha", alpha, f"--delta={delta}", "--out", str(out_csv),
+        )
+        assert code == 1 and err.startswith("error:") and ("--alpha" in err or "--delta" in err)
+        assert not out_csv.exists()
+
 
 class TestVerify:
     def test_reductions_suite_passes(self, capsys):

@@ -34,6 +34,7 @@ from wassrisk import risk_measures, robust_core
 from wassrisk.risk_measures import robust_generalized_quantile_detail
 
 from conftest import coupled_arrays, emp, random_empirical
+from reference_golden import golden_section_min
 
 P1 = CostExponent(1.0)
 P2 = CostExponent(2.0)
@@ -48,23 +49,6 @@ def normal_partial(z, power, tail):
         pdf = stats.norm.pdf(z)
         return pdf - z * sf if power == 1 else (1 + z**2) * sf - z * pdf
     return normal_partial(-z, power, "plus")
-
-
-def golden_argmin(f, lo, hi, tol=1e-10):
-    """Golden-section minimizer of a convex f on [lo, hi]."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c, e = hi - inv * (hi - lo), lo + inv * (hi - lo)
-    fc, fe = f(c), f(e)
-    while hi - lo > tol:
-        if fc <= fe:
-            hi, e, fe = e, c, fc
-            c = hi - inv * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + inv * (hi - lo)
-            fe = f(e)
-    return 0.5 * (lo + hi)
 
 
 def normal_expectile_grid_oracle(alpha, lo=-1.0, hi=3.0):
@@ -365,7 +349,7 @@ class TestRobustGeneralizedQuantile:
         priors += [Normal(0.2, 1.3), StudentT(5.0, -0.1, 0.8), Exponential(1.7)]
         for d in priors:
             lo, hi = quantile(d, 0.001) - 2.0, quantile(d, 0.999) + 2.0
-            oracle = golden_argmin(lambda m: robust_functional(d, loss, P2, phi, m), lo, hi)
+            oracle = golden_section_min(lambda m: robust_functional(d, loss, P2, phi, m), lo, hi, 1e-10)[0]
             m1, m2 = robust_generalized_quantile(d, loss, P2, phi)
             assert m1 == m2
             assert m1 == pytest.approx(oracle, abs=1e-6)

@@ -43,9 +43,10 @@ from wassrisk import losses, risk_measures, robust_core
 from wassrisk.losses import quad_transform_coefficients
 from wassrisk.risk_measures import robust_generalized_quantile_detail
 from wassrisk.robust_core import BOUNDARY_GAP, _functional_detail
-from wassrisk.solvers import MAX_DOUBLINGS, golden_section_min
+from wassrisk.solvers import MAX_DOUBLINGS
 
 from conftest import coupled_arrays, emp, random_empirical
+from reference_golden import golden_section_min
 
 P1 = CostExponent(1.0)
 P2 = CostExponent(2.0)
@@ -242,7 +243,7 @@ class TestQuadraticDualSearch:
         d = Normal(0.3, 1.2)
         for m in (-2.0, 0.1, 3.0):
             calls.update({"plus": 0, "minus": 0, "lambda": 0})
-            value, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m)
+            value, _, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m)
             assert math.isfinite(value)
             assert calls["plus"] == calls["minus"] == 1
             assert calls["lambda"] <= len(phi.conjugate_pieces()) + 2
@@ -268,7 +269,7 @@ class TestQuadraticDualSearch:
                 lam_lo = max(a, b) + 1e-8
                 for m in center + span * np.array([-2.5, -0.7, 0.0, 0.4, 3.0]):
                     m = float(m)
-                    value, lam, _ = _functional_detail(d, loss, P2, phi, m)
+                    value, lam, _, _ = _functional_detail(d, loss, P2, phi, m)
                     golden, _, _ = _reference_detail(d, loss, P2, phi, m)
                     scale = max(1.0, abs(value))
                     assert -1e-12 * scale <= golden - value <= 1e-10 * scale, (d, alpha, m)
@@ -282,7 +283,7 @@ class TestQuadraticDualSearch:
     def test_tiny_radius_gives_the_classical_expectation(self):
         # lambda* near 5e149: the root's terms are scaled to stay near 1
         d, loss = Normal(0.0, 1.0), AsymQuadratic(0.3)
-        value, lam, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0)
+        value, lam, _, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0)
         assert lam > 1e149
         assert value == pytest.approx(robust_core.expected_loss(d, loss, 0.0), rel=1e-12)
 
@@ -295,7 +296,7 @@ class TestQuadraticDualSearch:
         d = Empirical.uniform([-0.5, -0.1, 0.2, 0.5])
         seen = set()
         for m in np.linspace(-15.0, 3.0, 181):
-            value, lam, _ = _functional_detail(d, loss, P2, phi, float(m))
+            value, lam, _, _ = _functional_detail(d, loss, P2, phi, float(m))
             seen.add(lam if lam in (0.7 + 1e-8, 2.0, 5.0) else "root")
             golden, _, _ = _reference_detail(d, loss, P2, phi, float(m))
             scale = max(1.0, abs(value))
@@ -317,9 +318,6 @@ class TestNumericDualWalk:
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
     def test_equals_the_golden_search(self, monkeypatch, phi):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the dual solve must not run golden section")
-
         sups = {"walk": 0, "golden": 0}
 
         def counting(name, fn):
@@ -329,7 +327,6 @@ class TestNumericDualWalk:
 
             return wrapped
 
-        monkeypatch.setattr(robust_core, "golden_section_min", refuse)
         monkeypatch.setattr(robust_core, "_numeric_sup", counting("walk", robust_core._numeric_sup))
         monkeypatch.setattr(losses, "_numeric_sup", counting("golden", losses._numeric_sup))
         rng = np.random.default_rng(1)
@@ -341,7 +338,7 @@ class TestNumericDualWalk:
             center, span = d.center_and_span()
             for m in (center - 0.5 * span, center + 0.3 * span):
                 sups.update(walk=0, golden=0)
-                value, lam, _ = _functional_detail(d, loss, P2, phi, m)
+                value, lam, _, _ = _functional_detail(d, loss, P2, phi, m)
                 scale = max(1.0, abs(value))
                 if lam == lam_lo:
                     # the golden search crawls near the floor, where each
@@ -370,6 +367,81 @@ class TestNumericDualWalk:
                 calls.clear()
                 assert math.isfinite(robust_functional(d, loss, cost, phi, m))
                 assert len(calls) == 1
+
+    @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
+    @pytest.mark.parametrize("loc", [0.0, 1e6])
+    def test_p1_twin_takes_the_closed_forms_lambda_floor(self, loc, phi):
+        # under p = 1 the transform is the loss itself from the threshold
+        # on, for a custom loss as for a closed form, so both duals sit at
+        # lambda = 0.7 and agree to rounding
+        twin = CustomLoss(lambda y: 0.3 * np.maximum(y, 0.0) + 0.7 * np.maximum(-y, 0.0), 0.7, 1.0)
+        d = Empirical.uniform([loc - 1.0, loc + 0.2, loc + 0.5, loc + 2.0])
+        for m in (loc - 0.3, loc + 0.7):
+            custom, lam, _, _ = _functional_detail(d, twin, P1, phi, m)
+            closed = robust_functional(d, Pinball(0.3), P1, phi, m)
+            assert lam == 0.7
+            assert abs(custom - closed) <= 1e-12 * max(1.0, abs(closed))
+
+
+class TestSlopeRootWithoutClosedForm:
+    """Losses without a closed form take their argmin set from the roots of
+    the m-slope plus and minus its rounding band: y* from the dual solve
+    under p > 1, a backward difference of the loss where the dual collapses
+    to E[l(X - m)] plus a constant."""
+
+    FOUR = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "d, phi",
+        [
+            (Empirical.uniform([-1.3, -0.6, -0.2, 0.1, 0.4, 0.5, 0.9, 1.7, 2.2, 3.1]), LinearPenalty(1.5)),
+            (Empirical.uniform([-1.3, 0.4, 2.2]), BallPenalty(0.4)),
+            (
+                Empirical.uniform([-1.3, -0.2, 0.4, 0.9, 2.2]),
+                PiecewiseLinearPenalty(((0.0, 0.2), (0.5, 1.0), (1.0, 4.0))),
+            ),
+        ],
+    )
+    def test_p2_twin_set_holds_the_closed_form_minimizer(self, d, phi):
+        twin = robust_oce(d, QUAD_TWIN, P2, phi)
+        closed = robust_oce(d, AsymQuadratic(0.3), P2, phi)
+        m1, m2 = twin.argmin_m
+        assert twin.converged
+        assert m1 <= closed.argmin_m[0] <= m2
+        assert m2 - m1 <= 1e-6
+        assert abs(twin.value - closed.value) <= 1e-12 * max(1.0, abs(closed.value))
+
+    def test_lp_quantile_matches_a_golden_search(self):
+        # mismatched exponents have no closed form: golden section over m of
+        # the public robust functional is an independent oracle
+        d = Empirical.uniform([-1.3, -0.6, -0.2, 0.1, 0.4, 0.5, 0.9, 1.7, 2.2, 3.1])
+        loss, cost, phi = GeneralizedQuantile(0.7, PowerLoss(1.0, 1.5), PowerLoss(1.0, 1.5)), CostExponent(1.5), LinearPenalty(3.0)
+        rv = robust_generalized_quantile_detail(d, loss, cost, phi)
+        m_gold, v_gold, _ = golden_section_min(lambda m: robust_functional(d, loss, cost, phi, m), -1.3, 3.1, 1e-10)
+        assert rv.converged
+        assert rv.argmin_m[1] - rv.argmin_m[0] <= 1e-5
+        assert rv.argmin_m[0] - 1e-6 <= m_gold <= rv.argmin_m[1] + 1e-6
+        assert rv.value == pytest.approx(v_gold, abs=1e-11)
+
+    def test_flat_ray_matches_the_closed_form(self):
+        # x^+ has a zero left side: m + E[(X - m)^+] is flat left of the
+        # support, a ray with its end at -inf, as the closed form reports it
+        closed = GeneralizedQuantile(0.5, PowerLoss(2.0, 1.0), PowerLoss(0.0, 1.0))
+        for phi in (LinearPenalty(2.0), BallPenalty(0.4)):
+            custom, exact = robust_oce(self.FOUR, PLUS_PART, P1, phi), robust_oce(self.FOUR, closed, P1, phi)
+            assert custom.converged and exact.argmin_m == (-math.inf, -1.0)
+            assert custom.argmin_m[0] == -math.inf
+            assert custom.argmin_m[1] == pytest.approx(-1.0, abs=4e-9)
+            assert custom.value == pytest.approx(exact.value, abs=1e-12)
+            assert custom.evaluations == 1
+
+    @pytest.mark.parametrize("loc", [0.0, 1e6])
+    def test_unbounded_twin_raises(self, loc):
+        # a slope of 1 - 0.3 on the left far past the support is no flat
+        # ray: the objective keeps falling, as for the closed form
+        twin = CustomLoss(lambda y: 0.3 * np.maximum(y, 0.0) + 0.7 * np.maximum(-y, 0.0), 0.7, 1.0)
+        with pytest.raises(NoConvergence):
+            robust_oce(Empirical.uniform([loc, loc + 1.0]), twin, P1, LinearPenalty(2.0))
 
 
 class TestRobustOce:
@@ -496,22 +568,16 @@ class TestRobustOce:
     @pytest.mark.parametrize("phi", [LinearPenalty(2.0), BallPenalty(0.0), *SEARCHED_PENALTIES])
     @pytest.mark.parametrize("loc", [0.2, 1e6 + 0.2])
     def test_not_converged_off_the_minimum(self, monkeypatch, loc, phi):
-        # golden path: a custom twin of the p = 1 closed form with
-        # a = 1.4 > 1 has a minimum, and an interval 1e-2 to the right of it
-        # lets the objective fall by about 4e-9 over the step of 1e-6 to the
-        # left of its edge, so the certificate must refuse it.  Near 1e6 the
-        # value is about 1e6, and the allowance must not grow with it
-        # (FLAT_VALUE_TOL * |value| would be 1e-4 there)
-        edges = robust_core.flat_minimum_edges
-
-        def shifted(*args, **kwargs):
-            m1, m2 = edges(*args, **kwargs)
-            return m1 + 1e-2, m2 + 1e-2
-
+        # custom path: a custom twin of the p = 1 closed form with
+        # a = 1.4 > 1 has a minimum, and both roots of its banded
+        # difference-quotient slope moved 1e-2 to the right of it leave the
+        # sign brackets of their slope evaluations, so the certificate must
+        # refuse them, near 1e6 as near 0
+        root = robust_core.increasing_root
         d = Normal(loc, 1.3)
         loss = CustomLoss(lambda y: 1.4 * np.maximum(y, 0.0) + 0.3 * np.maximum(-y, 0.0), 1.4, 1.0)
         assert robust_oce(d, loss, P1, phi).converged
-        monkeypatch.setattr(robust_core, "flat_minimum_edges", shifted)
+        monkeypatch.setattr(robust_core, "increasing_root", lambda *args: root(*args) + 1e-2)
         assert not robust_oce(d, loss, P1, phi).converged
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
@@ -579,7 +645,7 @@ class TestRobustOce:
             assert rv.argmin_m[1] == m_star
             assert len(calls) == len(set(calls)) == rv.evaluations
             fresh = _functional_detail(d, loss, P2, phi, m_star)
-            assert (rv.argmin_lambda, rv.boundary_lambda) == fresh[1:]
+            assert (rv.argmin_lambda, rv.boundary_lambda) == fresh[1:3]
             if isinstance(phi, BallPenalty):
                 calls.clear()
                 m_star, lam, count = risk_measures._ball_stats(d, 0.7, phi.delta)
@@ -714,12 +780,7 @@ class TestEnvelopeRoot:
                 with pytest.raises(Infeasible):
                     robust_generalized_quantile_detail(four, loss, cost, phi)
 
-    def test_no_golden_bracket_or_edge_solver_runs(self, monkeypatch, rng):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a closed form must not search")
-
-        for name in ("golden_section_min", "expand_bracket", "flat_minimum_edges"):
-            monkeypatch.setattr(robust_core, name, refuse)
+    def test_closed_forms_converge_on_every_prior(self, rng):
         restricted = SearchOptions(restrict_to_support=True)
         quadratic = [AsymQuadratic(0.3), GeneralizedQuantile(0.6, PowerLoss(0.9, 2.0), PowerLoss(1.2, 2.0))]
         linear = [Pinball(0.3), GeneralizedQuantile(0.4, PowerLoss(1.3, 1.0), PowerLoss(0.8, 1.0))]

@@ -79,6 +79,6 @@ def test_every_public_solver_has_a_role():
         for name, fn in vars(solvers).items()
         if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == solvers.__name__
     }
-    assert "golden_section_min" in public
+    assert "increasing_root" in public
     missing = sorted(public - {"increasing_root"} - set(roles))
     assert not missing, f"perfbench/tracing.py TOP_LEVEL_ROLE lacks public solvers: {missing}"
