@@ -7,12 +7,12 @@ lower semicontinuous with phi(0) = 0.  Its conjugate
 
 is computed in closed form per family; exactness matters because the dual
 minimizer often sits on the conjugate's domain boundary.  Each family class
-carries its value phi(x), its conjugate, `conjugate_domain_end()` (the
-supremum of the set where phi* is finite), `conjugate_pieces()` (the linear
-pieces of phi* on that set, as (lambda-start, lambda-end, slope)) and
-`conjugate_vanishes` (phi* is zero on that whole set, so the dual infimum
-sits at its end without a search); the module functions `evaluate` and
-`conjugate` validate their argument and dispatch to the class.
+carries its value phi(x), its conjugate and `conjugate_pieces()`: the
+linear pieces of phi* on the set where it is finite, as (lambda-start,
+lambda-end, slope) with rising slopes, so that the last piece's end is that
+set's supremum and a last slope of 0 makes phi* zero on the whole set.  The
+module functions `evaluate` and `conjugate` validate their argument and
+dispatch to the class.
 """
 
 from __future__ import annotations
@@ -41,13 +41,8 @@ class LinearPenalty:
     def conjugate(self, lam: float) -> float:
         return 0.0 if lam <= self.delta else INF
 
-    def conjugate_domain_end(self) -> float:
-        return self.delta
-
     def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
         return ((0.0, self.delta, 0.0),)
-
-    conjugate_vanishes = True
 
 
 @dataclass(frozen=True)
@@ -69,15 +64,8 @@ class BallPenalty:
     def conjugate(self, lam: float) -> float:
         return self.delta * lam
 
-    def conjugate_domain_end(self) -> float:
-        return INF
-
     def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
         return ((0.0, INF, self.delta),)
-
-    @property
-    def conjugate_vanishes(self) -> bool:
-        return self.delta == 0.0
 
 
 @dataclass(frozen=True)
@@ -133,17 +121,10 @@ class PiecewiseLinearPenalty:
             return INF
         return max(lam * kx - kv for kx, kv in self._knots)
 
-    def conjugate_domain_end(self) -> float:
-        return self.breakpoints[-1][1]
-
     def conjugate_pieces(self) -> tuple[tuple[float, float, float], ...]:
         # on [s_{k-1}, s_k] the supremum sits at knot x_k, with s_{-1} = 0
         starts = (0.0,) + tuple(s for _, s in self.breakpoints[:-1])
         return tuple((lo, s, x) for lo, (x, s) in zip(starts, self.breakpoints))
-
-    # a single knot makes phi linear, but that case keeps the lambda search;
-    # LinearPenalty is its exact path
-    conjugate_vanishes = False
 
 
 Penalization = Union[LinearPenalty, BallPenalty, PiecewiseLinearPenalty]

@@ -14,11 +14,12 @@ Analytic shortcuts cover the common penalty/loss pairs:
   finiteness threshold on (max(a, b) for a closed form; for a custom loss,
   convex with l <= C(1 + |x|) and so with slopes bounded by C, just above C), so
   E_phi = E[h(X-m)] + phi* at the lower end of that range, for every phi;
-* phi* zero on its whole domain (linear phi, a ball of radius 0): the
-  transform expectation is nonincreasing in lam, so the infimum sits at the
-  end of that domain, the slope delta of a linear phi, or the lam -> inf
-  limit of a zero radius, where only the baseline law is admissible and the
-  functional collapses to the classical expectation.
+* phi* zero on its whole domain (its last linear piece has slope 0: a
+  linear phi, a ball of radius 0): the transform expectation is
+  nonincreasing in lam, so the infimum sits at the end of that domain, the
+  slope delta of a linear phi, or the lam -> inf limit of a zero radius,
+  where only the baseline law is admissible and the functional collapses to
+  the classical expectation.
 
 Every other lambda solve walks the linear pieces of phi*: by the envelope
 theorem the dual's slope on a piece is the piece's slope minus
@@ -36,8 +37,10 @@ rounding band, and the set between the roots of slope plus and minus band.
 Each set certifies itself: a read is exact, and a root holds the sign
 bracket of its own slope evaluations.  One outer solve (`_solve_outer`)
 serves every measure: the OCEs, the generalized quantiles and, through
-them, the expectiles.  What makes the dual +inf at every m is checked once,
-before any search (`_dual_floor`).
+them, the expectiles.  Each solve builds its dual once (`_dual`), from
+phi*'s pieces and the finiteness threshold: what makes it +inf at every m
+raises there, before any search, and where lambda* does not move with m it
+is fixed there too.
 """
 
 from __future__ import annotations
@@ -150,120 +153,101 @@ def expected_transform(
     return float(np.dot(w, t))
 
 
-def _dual_floor(
-    loss: LossSpec, cost: CostExponent, phi: Penalization
-) -> tuple[Optional[tuple[float, float]], float, float]:
-    """(closed form, finiteness threshold, least lambda) of the dual, none of
-    which depends on m.  Raises what makes the dual +inf at every m:
-    UncertifiedGrowth for a custom loss, Infeasible when phi* (finite up to
-    the end of its domain) is +inf at the least lambda or a linear slope does
-    not exceed the threshold."""
+def _dual(
+    d: PriorDistribution, loss: LossSpec, cost: CostExponent, phi: Penalization
+) -> tuple[Optional[float], Callable[[float], tuple[float, float, bool, Optional[np.ndarray]]]]:
+    """(lambda_fixed, at) of the dual minimization over lambda, built once
+    per solve; at(m) gives (value, argmin lambda, boundary flag, y*).
+
+    Raises what makes the dual +inf at every m: UncertifiedGrowth for a
+    custom loss (certified here, once, for every numeric supremum below),
+    Infeasible when phi*'s domain ends below the finiteness threshold, or at
+    it under p > 1.  lambda_fixed is lambda* where it does not move with m:
+    under p = 1 the threshold, since the transform is the loss itself from
+    there on (a convex custom loss with l <= C(1 + |x|) has |l'| <= C) and
+    phi* is nondecreasing; when phi*'s last piece has slope 0 (so every
+    slope is 0) the domain's end, since the transform expectation is
+    nonincreasing in lambda (+inf for a ball of radius zero, whose dual is
+    E[l(X - m)]).  Otherwise it is None and at(m) walks the pieces: on one
+    with slope s the dual's derivative is s - G(lam), G decreasing, so the
+    minimizer is the left end of the first piece where s - G is already
+    nonnegative (lam_lo or a kink of phi*), else the root of G = s inside
+    the piece where it turns, or lam_cap when it never does.  y* is the
+    numeric supremum's maximizer per atom at lambda*, in z = x - m, and None
+    for a closed form or where the dual is E[l(X - m)] plus a constant."""
     form = loss.closed_form(cost.p)
-    thr = finiteness_threshold(loss, cost) if form is None else max(form)
-    lam_lo = thr if cost.p == 1.0 else thr + 1e-8 * max(1.0, thr)
-    lam_end = phi.conjugate_domain_end()
-    if cost.p == 1.0:
-        if lam_end < lam_lo:
-            raise Infeasible(
-                f"conjugate is +inf at the finiteness threshold {thr!r}; "
-                "the dual objective is +inf for every lambda"
-            )
-    elif phi.conjugate_vanishes:
-        if lam_end <= thr:
-            # a finite end here is the slope of a linear penalty
-            raise Infeasible(
-                f"linear penalty slope {lam_end!r} does not exceed the "
-                f"finiteness threshold {thr!r}"
-            )
-    elif lam_end <= lam_lo:
+    thr = finiteness_threshold(loss, cost)
+    pieces = phi.conjugate_pieces()
+    lam_cap = pieces[-1][1]
+    if lam_cap < thr or (lam_cap == thr and cost.p != 1.0):
         raise Infeasible(
-            f"conjugate domain ends at {lam_end!r}, at or below the finiteness "
-            f"threshold {thr!r}"
+            f"conjugate domain ends at {lam_cap!r}, below the finiteness threshold {thr!r} "
+            "or at it under p > 1; the dual objective is +inf for every lambda"
         )
-    return form, thr, lam_lo
-
-
-def _functional_detail(
-    d: PriorDistribution,
-    loss: LossSpec,
-    cost: CostExponent,
-    phi: Penalization,
-    m: float,
-) -> tuple[float, float, bool, Optional[np.ndarray]]:
-    """(value, argmin lambda, boundary flag, y*) of the dual minimization at m.
-
-    y* is None for a closed form and wherever the dual collapses to
-    E[l(X - m)] plus a constant (p = 1, lambda = inf); otherwise it is the
-    numeric supremum's maximizer per atom of the prior at lambda*, in
-    z = x - m.  A loss without a closed form has its growth
-    certified here, once, for every numeric supremum below.  On a linear
-    piece of phi* with slope s the dual's derivative is s - G(lam), G
-    decreasing, so the minimizer is the left end of the first piece where
-    s - G is already nonnegative (lam_lo or a kink of phi*), else the root
-    of G = s inside the piece where it turns, or lam_cap when it never does."""
-    form, thr, lam_lo = _dual_floor(loss, cost, phi)
 
     if cost.p == 1.0:
-        # the transform is the loss itself from the threshold on (a convex
-        # custom loss with l <= C(1 + |x|) has |l'| <= C) and phi* is
-        # nondecreasing, so the infimum sits at the lower end of the range
-        return expected_loss(d, loss, m) + conjugate(phi, lam_lo), lam_lo, True, None
+        floor = conjugate(phi, thr)
+        return thr, lambda m: (expected_loss(d, loss, m) + floor, thr, True, None)
 
-    if form is None:
-        mean, g, sup = _numeric_dual(d, loss, cost, m, thr)
-
-    lam_cap = phi.conjugate_domain_end()
-    if phi.conjugate_vanishes:
-        # phi* is zero on its whole domain and the transform expectation is
-        # nonincreasing in lambda: the infimum sits at the end of the domain
+    if pieces[-1][2] == 0.0:
         if math.isinf(lam_cap):
-            # a ball of radius zero keeps only the baseline law; the dual
-            # objective decreases to the classical expectation as lam -> inf
-            return expected_loss(d, loss, m), INF, True, None
+            return INF, lambda m: (expected_loss(d, loss, m), INF, True, None)
         if form is not None:
-            return expected_transform(d, loss, cost, lam_cap, m), lam_cap, True, None
-        return mean(lam_cap), lam_cap, True, sup(lam_cap)[1]
+            return lam_cap, lambda m: (expected_transform(d, loss, cost, lam_cap, m), lam_cap, True, None)
+        xs, w = d.atoms()
 
-    if form is not None:
-        # p = 2: the prior enters the transform only through its second
-        # partial moments at m, taken once; every lambda considered lies
-        # above max(a, b), where both transform coefficients are finite
-        a, b = form
-        plus = partial_moment_plus(d, m, 2)
-        minus = partial_moment_minus(d, m, 2)
-        if not math.isfinite(a * plus + b * minus):
+        def at_cap(m: float) -> tuple:
+            t, y = _numeric_sup(loss, cost, lam_cap, xs - m, thr)
+            return float(np.dot(w, t)), lam_cap, True, y
+
+        return lam_cap, at_cap
+
+    lam_lo = thr + 1e-8 * max(1.0, thr)
+
+    def at(m: float) -> tuple:
+        if form is None:
+            mean, g, sup = _numeric_dual(d, loss, cost, m, thr)
+
+            def root(slope: float, left: float, right: float) -> float:
+                return increasing_root(lambda lam: slope - g(lam), left, right if right < INF else 2.0 * left)
+
+        else:
+            # p = 2: the prior enters the transform only through its second
+            # partial moments at m, taken once; every lambda considered lies
+            # above max(a, b), where both transform coefficients are finite
+            a, b = form
+            plus = partial_moment_plus(d, m, 2)
+            minus = partial_moment_minus(d, m, 2)
+            if not math.isfinite(a * plus + b * minus):
+                raise Infeasible("dual objective is +inf on the whole feasible range")
+
+            def g(lam: float) -> float:
+                da, db = lam - a, lam - b
+                return a * a * plus / (da * da) + b * b * minus / (db * db)
+
+            def mean(lam: float) -> float:
+                big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
+                return big_a * plus + big_b * minus
+
+            def root(slope: float, left: float, right: float) -> float:
+                return _quadratic_root(a, b, plus, minus, slope, left)
+
+        for start, end, slope in pieces:
+            left, right = max(start, lam_lo), min(end, lam_cap)
+            if right < left or slope < g(right):
+                continue
+            lam_star = left if slope >= g(left) else root(slope, left, right)
+            break
+        else:
+            lam_star = lam_cap
+        value = mean(lam_star)
+        if math.isinf(value):
             raise Infeasible("dual objective is +inf on the whole feasible range")
+        boundary = lam_star - lam_lo <= BOUNDARY_GAP or lam_cap - lam_star <= BOUNDARY_GAP
+        ystar = None if form is not None else sup(lam_star)[1]
+        return value + conjugate(phi, lam_star), lam_star, boundary, ystar
 
-        def g(lam: float) -> float:
-            da, db = lam - a, lam - b
-            return a * a * plus / (da * da) + b * b * minus / (db * db)
-
-        def mean(lam: float) -> float:
-            big_a, big_b = quad_transform_coefficients(a, b, lam)  # type: ignore[misc]
-            return big_a * plus + big_b * minus
-
-        def root(slope: float, left: float, right: float) -> float:
-            return _quadratic_root(a, b, plus, minus, slope, left)
-
-    else:
-
-        def root(slope: float, left: float, right: float) -> float:
-            return increasing_root(lambda lam: slope - g(lam), left, right if right < INF else 2.0 * left)
-
-    for start, end, slope in phi.conjugate_pieces():
-        left, right = max(start, lam_lo), min(end, lam_cap)
-        if right < left or slope < g(right):
-            continue
-        lam_star = left if slope >= g(left) else root(slope, left, right)
-        break
-    else:
-        lam_star = lam_cap
-    value = mean(lam_star)
-    if math.isinf(value):
-        raise Infeasible("dual objective is +inf on the whole feasible range")
-    boundary = lam_star - lam_lo <= BOUNDARY_GAP or lam_cap - lam_star <= BOUNDARY_GAP
-    ystar = None if form is not None else sup(lam_star)[1]
-    return value + conjugate(phi, lam_star), lam_star, boundary, ystar
+    return None, at
 
 
 def _numeric_dual(
@@ -326,7 +310,7 @@ def robust_functional(
 
     Raises Infeasible when the objective is +inf for every lambda.
     """
-    return _functional_detail(d, loss, cost, phi, float(m))[0]
+    return _dual(d, loss, cost, phi)[1](float(m))[0]
 
 
 def _slope_root(
@@ -423,31 +407,27 @@ def _solve_outer(
     (Danskin's theorem).  A closed form (a, b) under p in {1, 2} (the loss's
     own exponent when phi is None) takes its exact set from
     `_closed_form_argmin`, with psi(z) = 2*A*z^+ - 2*B*z^- for the transform
-    coefficients (A, B) at lambda*(m), fixed where lambda* is the same at
-    every m (no dual layer, a linear penalty, a ball of radius zero) so that
-    the slope takes no dual solve.  Other losses take theirs from
-    `_numeric_argmin`.  A penalty infeasible at every m raises before any
-    search (`_dual_floor`).  The value is the objective at a finite point of
+    coefficients (A, B) at lambda*(m), fixed where `_dual` fixes lambda* at
+    every m (or with no dual layer, lambda = inf) so that the slope takes no
+    dual solve.  Other losses take theirs from `_numeric_argmin`.  The dual
+    is built once, before any search, and raises there for a penalty
+    infeasible at every m.  The value is the objective at a finite point of
     the set; (value, lambda, boundary, y*) is memoised per m.
     """
     seen: dict[float, tuple] = {}
     p = loss.growth_bound()[1] if cost is None else cost.p
     form = loss.closed_form(p)
-    if phi is not None:
-        _dual_floor(loss, cost, phi)  # type: ignore[arg-type]
+    if phi is None:
+        lam_fixed, at = INF, lambda m: (expected_loss(d, loss, m), math.nan, False, None)
+    else:
+        lam_fixed, at = _dual(d, loss, cost, phi)  # type: ignore[arg-type]
     fixed = None
-    if form is not None and p == 2.0 and (phi is None or phi.conjugate_vanishes):
-        # lambda* is the end of phi*'s domain at every m (+inf for a ball of
-        # radius zero), so the slope's coefficients are fixed
-        lam = INF if phi is None else phi.conjugate_domain_end()
-        fixed = quad_transform_coefficients(*form, lam) if lam < INF else form
+    if form is not None and p == 2.0 and lam_fixed is not None:
+        fixed = quad_transform_coefficients(*form, lam_fixed) if lam_fixed < INF else form
 
     def dual(m: float) -> tuple:
         if m not in seen:
-            if phi is None:
-                seen[m] = (expected_loss(d, loss, m), math.nan, False, None)
-            else:
-                seen[m] = _functional_detail(d, loss, cost, phi, m)  # type: ignore[arg-type]
+            seen[m] = at(m)
         return seen[m]
 
     restricted = options is not None and options.restrict_to_support and d.finite_support
@@ -463,9 +443,9 @@ def _solve_outer(
 
         m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
     else:
-        # the dual is E[l(X - m)] plus a constant with no dual layer, at
-        # p = 1 and for a ball of radius zero (lambda* = inf)
-        collapsed = phi is None or p == 1.0 or (phi.conjugate_vanishes and math.isinf(phi.conjugate_domain_end()))
+        # the dual is E[l(X - m)] plus a constant at p = 1 and where
+        # lambda* = inf (no dual layer, a ball of radius zero)
+        collapsed = p == 1.0 or lam_fixed == INF
         m1, m2, converged = _numeric_argmin(d, loss, p, add_m, None if collapsed else dual, lo, hi)
     m_star = m1 if m1 > -INF else (m2 if m2 < INF else d.center_and_span()[0])
     value, lam_star, boundary, _ = dual(m_star)

@@ -34,11 +34,20 @@ class TestConjugates:
         assert conjugate(PWL, 4.0 + 1e-9) == math.inf
 
     def test_pieces_tile_the_domain_with_the_conjugate_slopes(self):
-        for phi in (LinearPenalty(2.0), BallPenalty(0.3), PWL, PiecewiseLinearPenalty(((0.0, 1.5),))):
+        # from phi*(0) = 0 the pieces' slopes rebuild phi* up to the last
+        # end, past which it is +inf; a last slope of 0 (all slopes 0) makes
+        # phi* zero on its whole domain, which lets the dual skip its search
+        cases = (LinearPenalty(2.0), BallPenalty(0.3), BallPenalty(0.0), PWL, PiecewiseLinearPenalty(((0.0, 1.5),)))
+        for phi in cases:
             pieces = phi.conjugate_pieces()
+            end = pieces[-1][1]
             assert pieces[0][0] == 0.0
-            assert pieces[-1][1] == phi.conjugate_domain_end()
+            assert conjugate(phi, 0.0) == 0.0
+            if math.isfinite(end):
+                assert conjugate(phi, end) < math.inf
+                assert conjugate(phi, end * (1.0 + 1e-9)) == math.inf
             assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces[:-1], pieces[1:]))
+            assert all(prev[2] <= nxt[2] for prev, nxt in zip(pieces[:-1], pieces[1:]))
             for lo, hi, slope in pieces:
                 top = min(hi, lo + 1.0)
                 for u, v in ((lo, top), (lo, 0.5 * (lo + top)), (0.5 * (lo + top), top)):
@@ -49,23 +58,6 @@ class TestConjugates:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             conjugate(LinearPenalty(1.0), -0.5)
-
-    def test_vanishing_flag(self):
-        # the dual solver takes the end of the conjugate's domain without a
-        # search when the flag is set, which needs phi* = 0 on that domain;
-        # a one-knot piecewise penalty is linear but keeps the search
-        cases = [
-            (LinearPenalty(2.0), True),
-            (BallPenalty(0.0), True),
-            (BallPenalty(0.3), False),
-            (PWL, False),
-            (PiecewiseLinearPenalty(((0.0, 1.5),)), False),
-        ]
-        for phi, flag in cases:
-            assert phi.conjugate_vanishes == flag
-            if flag:
-                end = min(phi.conjugate_domain_end(), 10.0)
-                assert all(conjugate(phi, float(lam)) == 0.0 for lam in np.linspace(0.0, end, 101))
 
 
 class TestPiecewiseKnots:

@@ -283,10 +283,13 @@ class TestRobustExpectileBall:
         # the ball expectile is one outer solve: each dual solve is at a
         # distinct m, and the count it reports is the number of them
         ms = []
-        detail = robust_core._functional_detail
-        monkeypatch.setattr(
-            robust_core, "_functional_detail", lambda d, *args: ms.append(args[-1]) or detail(d, *args)
-        )
+        build = robust_core._dual
+
+        def recording(*args):
+            lam_fixed, at = build(*args)
+            return lam_fixed, lambda m: ms.append(m) or at(m)
+
+        monkeypatch.setattr(robust_core, "_dual", recording)
         for d, alpha, radius in ((Normal(0, 1), 0.75, 0.5), (THREE, 0.2, 0.1), (Exponential(1.0), 0.1, 2.0)):
             ms.clear()
             got, _, count = risk_measures._ball_stats(d, alpha, radius)

@@ -42,7 +42,7 @@ from wassrisk import (
 from wassrisk import losses, risk_measures, robust_core
 from wassrisk.losses import quad_transform_coefficients
 from wassrisk.risk_measures import robust_generalized_quantile_detail
-from wassrisk.robust_core import BOUNDARY_GAP, _functional_detail
+from wassrisk.robust_core import BOUNDARY_GAP, _dual
 from wassrisk.solvers import MAX_DOUBLINGS
 
 from conftest import coupled_arrays, emp, random_empirical
@@ -168,14 +168,35 @@ class TestRobustFunctional:
         assert expected_transform(Normal(0, 1), AsymQuadratic(alpha), P2, alpha, 0.0) == math.inf
 
 
+def _detail(d, loss, cost, phi, m):
+    """(value, lambda, boundary, y*) of the dual minimization at m."""
+    return _dual(d, loss, cost, phi)[1](m)
+
+
+def _counting_dual(calls, at=None):
+    """A stand-in for robust_core._dual that builds the real dual and records
+    each m it is solved at, or hands the m to `at` instead."""
+
+    def build(*args):
+        lam_fixed, real = _dual(*args)
+
+        def counted(m):
+            calls.append(m)
+            return (at or real)(m)
+
+        return lam_fixed, counted
+
+    return build
+
+
 def _reference_detail(d, loss, cost, phi, m):
-    """The oracle of the conjugate-piece walk in _functional_detail: a golden
+    """The oracle of the conjugate-piece walk in _dual: a golden
     section over the same lambda range, bracketed by doubling when the range
     has no end, with the prior evaluated through expected_transform at every
     lambda, and the same boundary rule."""
     thr = finiteness_threshold(loss, cost)
     lam_lo = thr + 1e-8 * max(1.0, thr)
-    lam_cap = phi.conjugate_domain_end()
+    lam_cap = phi.conjugate_pieces()[-1][1]
 
     def objective(lam):
         return expected_transform(d, loss, cost, lam, m) + conjugate(phi, lam)
@@ -243,7 +264,7 @@ class TestQuadraticDualSearch:
         d = Normal(0.3, 1.2)
         for m in (-2.0, 0.1, 3.0):
             calls.update({"plus": 0, "minus": 0, "lambda": 0})
-            value, _, _, _ = _functional_detail(d, AsymQuadratic(0.7), P2, phi, m)
+            value, _, _, _ = _detail(d, AsymQuadratic(0.7), P2, phi, m)
             assert math.isfinite(value)
             assert calls["plus"] == calls["minus"] == 1
             assert calls["lambda"] <= len(phi.conjugate_pieces()) + 2
@@ -259,7 +280,7 @@ class TestQuadraticDualSearch:
             random_empirical(rng, max_atoms=40),
             far,
         ]
-        lam_cap = phi.conjugate_domain_end()
+        lam_cap = phi.conjugate_pieces()[-1][1]
         interior = 0
         for d in priors:
             center, span = d.center_and_span()
@@ -269,7 +290,7 @@ class TestQuadraticDualSearch:
                 lam_lo = max(a, b) + 1e-8
                 for m in center + span * np.array([-2.5, -0.7, 0.0, 0.4, 3.0]):
                     m = float(m)
-                    value, lam, _, _ = _functional_detail(d, loss, P2, phi, m)
+                    value, lam, _, _ = _detail(d, loss, P2, phi, m)
                     golden, _, _ = _reference_detail(d, loss, P2, phi, m)
                     scale = max(1.0, abs(value))
                     assert -1e-12 * scale <= golden - value <= 1e-10 * scale, (d, alpha, m)
@@ -283,7 +304,7 @@ class TestQuadraticDualSearch:
     def test_tiny_radius_gives_the_classical_expectation(self):
         # lambda* near 5e149: the root's terms are scaled to stay near 1
         d, loss = Normal(0.0, 1.0), AsymQuadratic(0.3)
-        value, lam, _, _ = _functional_detail(d, loss, P2, BallPenalty(1e-300), 0.0)
+        value, lam, _, _ = _detail(d, loss, P2, BallPenalty(1e-300), 0.0)
         assert lam > 1e149
         assert value == pytest.approx(robust_core.expected_loss(d, loss, 0.0), rel=1e-12)
 
@@ -296,7 +317,7 @@ class TestQuadraticDualSearch:
         d = Empirical.uniform([-0.5, -0.1, 0.2, 0.5])
         seen = set()
         for m in np.linspace(-15.0, 3.0, 181):
-            value, lam, _, _ = _functional_detail(d, loss, P2, phi, float(m))
+            value, lam, _, _ = _detail(d, loss, P2, phi, float(m))
             seen.add(lam if lam in (0.7 + 1e-8, 2.0, 5.0) else "root")
             golden, _, _ = _reference_detail(d, loss, P2, phi, float(m))
             scale = max(1.0, abs(value))
@@ -338,7 +359,7 @@ class TestNumericDualWalk:
             center, span = d.center_and_span()
             for m in (center - 0.5 * span, center + 0.3 * span):
                 sups.update(walk=0, golden=0)
-                value, lam, _, _ = _functional_detail(d, loss, P2, phi, m)
+                value, lam, _, _ = _detail(d, loss, P2, phi, m)
                 scale = max(1.0, abs(value))
                 if lam == lam_lo:
                     # the golden search crawls near the floor, where each
@@ -377,10 +398,85 @@ class TestNumericDualWalk:
         twin = CustomLoss(lambda y: 0.3 * np.maximum(y, 0.0) + 0.7 * np.maximum(-y, 0.0), 0.7, 1.0)
         d = Empirical.uniform([loc - 1.0, loc + 0.2, loc + 0.5, loc + 2.0])
         for m in (loc - 0.3, loc + 0.7):
-            custom, lam, _, _ = _functional_detail(d, twin, P1, phi, m)
+            custom, lam, _, _ = _detail(d, twin, P1, phi, m)
             closed = robust_functional(d, Pinball(0.3), P1, phi, m)
             assert lam == 0.7
             assert abs(custom - closed) <= 1e-12 * max(1.0, abs(closed))
+
+
+class TestOneDualPerSolve:
+    """Each solve builds its dual once, from phi*'s pieces and the finiteness
+    threshold: feasibility and whether lambda* moves with m are decided
+    there, so one phi gives one result however it is spelled."""
+
+    FOUR = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "d", [emp(np.random.default_rng(25).normal(0.0, 1.0, 25), np.full(25, 0.04)), Normal(0.3, 1.2)]
+    )
+    def test_single_knot_piecewise_is_the_linear_penalty(self, d):
+        # phi(x) = 2x spelled twice: phi* is 0 on [0, 2], so lambda* = 2 at
+        # every m and no lambda search runs for either spelling
+        solves = [
+            lambda phi: robust_oce(d, AsymQuadratic(0.7), P2, phi),
+            lambda phi: robust_generalized_quantile_detail(d, AsymQuadratic(0.7), P2, phi),
+            lambda phi: robust_generalized_quantile_detail(d, Pinball(0.3), P1, phi),
+        ]
+        for solve in solves:
+            linear = solve(LinearPenalty(2.0))
+            assert solve(PiecewiseLinearPenalty(((0.0, 2.0),))) == linear
+            assert linear.evaluations == 1
+
+    def test_one_infeasibility_rule_at_the_threshold(self):
+        # the threshold is 0.7 for AsymQuadratic(0.3) under p = 2 and for
+        # Pinball(0.3) under p = 1; phi*'s domain ends at `end`
+        def spellings(end):
+            return LinearPenalty(end), PiecewiseLinearPenalty(((0.0, 0.2), (1.0, end)))
+
+        loss, m = AsymQuadratic(0.3), 0.1
+        messages = set()
+        for phi in spellings(0.7):
+            with pytest.raises(Infeasible) as raised:
+                robust_functional(self.FOUR, loss, P2, phi, m)
+            messages.add(str(raised.value))
+        assert len(messages) == 1
+        for phi in spellings(0.7 * (1.0 + 5e-9)):
+            assert math.isfinite(robust_functional(self.FOUR, loss, P2, phi, m))
+        linear, piecewise = spellings(0.7)
+        # under p = 1 the transform is finite at the threshold itself
+        assert robust_functional(self.FOUR, Pinball(0.3), P1, linear, m) == pytest.approx(0.3725, abs=1e-15)
+        assert robust_functional(self.FOUR, Pinball(0.3), P1, piecewise, m) == pytest.approx(0.8725, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "d, loss",
+        [(Normal(0.2, 1.3), AsymQuadratic(0.7)), (random_empirical(np.random.default_rng(8), 8), QUAD_TWIN)],
+    )
+    def test_each_solve_decides_once(self, monkeypatch, d, loss):
+        calls = {"pieces": 0, "threshold": 0}
+        pieces, threshold = BallPenalty.conjugate_pieces, robust_core.finiteness_threshold
+
+        def counted_pieces(self):
+            calls["pieces"] += 1
+            return pieces(self)
+
+        def counted_threshold(*args):
+            calls["threshold"] += 1
+            return threshold(*args)
+
+        monkeypatch.setattr(BallPenalty, "conjugate_pieces", counted_pieces)
+        monkeypatch.setattr(robust_core, "finiteness_threshold", counted_threshold)
+        phi = BallPenalty(0.4)
+        solves = [
+            lambda: robust_oce(d, loss, P2, phi).evaluations,
+            lambda: robust_generalized_quantile_detail(d, loss, P2, phi).evaluations,
+            lambda: robust_functional(d, loss, P2, phi, 0.3),
+        ]
+        evaluations = []
+        for solve in solves:
+            calls.update(pieces=0, threshold=0)
+            evaluations.append(solve())
+            assert calls == {"pieces": 1, "threshold": 1}
+        assert max(evaluations[:2]) > 1  # the dual was solved at several m
 
 
 class TestSlopeRootWithoutClosedForm:
@@ -631,12 +727,7 @@ class TestRobustOce:
         # one minimizer equal a fresh dual solve there.  Under the ball the
         # robust expectile (`_ball_stats`, no m term) reads lambda back too
         calls = []
-
-        def recording(d, loss, cost, phi, m):
-            calls.append(m)
-            return _functional_detail(d, loss, cost, phi, m)
-
-        monkeypatch.setattr(robust_core, "_functional_detail", recording)
+        monkeypatch.setattr(robust_core, "_dual", _counting_dual(calls))
         loss = AsymQuadratic(0.7)
         for d in (Normal(0.2, 1.3), random_empirical(rng, max_atoms=25)):
             calls.clear()
@@ -644,13 +735,13 @@ class TestRobustOce:
             m_star = rv.argmin_m[0]
             assert rv.argmin_m[1] == m_star
             assert len(calls) == len(set(calls)) == rv.evaluations
-            fresh = _functional_detail(d, loss, P2, phi, m_star)
+            fresh = _detail(d, loss, P2, phi, m_star)
             assert (rv.argmin_lambda, rv.boundary_lambda) == fresh[1:3]
             if isinstance(phi, BallPenalty):
                 calls.clear()
                 m_star, lam, count = risk_measures._ball_stats(d, 0.7, phi.delta)
                 assert len(calls) == len(set(calls)) == count
-                assert lam == _functional_detail(d, loss, P2, phi, m_star)[1]
+                assert lam == _detail(d, loss, P2, phi, m_star)[1]
 
     def test_result_invariants(self, rng):
         for _ in range(5):
@@ -767,10 +858,10 @@ class TestEnvelopeRoot:
         # at the threshold 0.7, or ends at or below it, raises Infeasible
         # without solving the dual at any m (with no dual solve to raise it,
         # the p = 1 quantile set would raise NoConvergence instead)
-        def refuse(*args, **kwargs):
+        def refuse(m):
             raise AssertionError("feasibility must not take a dual solve")
 
-        monkeypatch.setattr(robust_core, "_functional_detail", refuse)
+        monkeypatch.setattr(robust_core, "_dual", _counting_dual([], refuse))
         four = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
         short = PiecewiseLinearPenalty(((0.0, 0.2), (1.0, 0.6)))
         for loss, cost in ((Pinball(0.3), P1), (AsymQuadratic(0.3), P2)):

@@ -1,4 +1,4 @@
-"""Time empirical-prior builds and fixed-coefficient solves in fresh processes of two trees (layers L1 and L4).
+"""Time empirical-prior builds and outer solves in fresh processes of two trees (layers L1, L3 and L4).
 
     python tools/table_bench.py BASE CHANGE --launches 10
 
@@ -14,12 +14,19 @@ interpreter times
 * `linear_expectile`: `robust_expectile_linear(d, 0.8, 2.0)`;
 * `linear_oce`: `robust_oce(d, AsymQuadratic(0.7), CostExponent(2), LinearPenalty(2.0))`,
 
+all of which fix lambda at every m, and on the prior `Normal(0.3, 1.2)`
+(row `normal`) two OCEs whose lambda moves with m, so that each solves the
+dual at several m:
+
+* `ball_oce`: the same OCE under `BallPenalty(0.4)`;
+* `piecewise_oce`: under `PiecewiseLinearPenalty(((0, 0.6), (1, 2), (2.5, 5)))`,
+
 each as the median over 5 batches of the mean time per call in a batch of
 about 20 ms.  Per tree the table gives the median and quartiles over
 launches, in microseconds per call, and each solve's count, which is
 deterministic: the atom-table probes of the one `Empirical.affine_root`
 read behind each expectile, and the dual solves at distinct m
-(`RobustValue.evaluations`) for the OCE.  The last lines count, per (atoms,
+(`RobustValue.evaluations`) for an OCE.  The last lines count, per (prior,
 operation), the launch pairs in which CHANGE was faster.  Needs only the
 standard library in this process.
 """
@@ -38,11 +45,15 @@ from run import THREAD_VARS  # noqa: E402  (perfbench/run.py)
 
 SIZES = (20, 1000, 20000)
 OPERATIONS = ("build", "expectile", "linear_expectile", "linear_oce")
+GROUPS = {**{str(n): OPERATIONS for n in SIZES}, "normal": ("ball_oce", "piecewise_oce")}
 
 PROBE = """
 import json, statistics, sys, time
 import numpy as np
-from wassrisk import AsymQuadratic, CostExponent, Empirical, LinearPenalty, expectile, robust_expectile_linear, robust_oce
+from wassrisk import (
+    AsymQuadratic, BallPenalty, CostExponent, Empirical, LinearPenalty, Normal, PiecewiseLinearPenalty,
+    expectile, robust_expectile_linear, robust_oce,
+)
 from wassrisk.risk_measures import ExpectileLevel
 
 def per_call_us(fn):
@@ -81,6 +92,12 @@ for n in json.loads(sys.argv[1]):
             "linear_oce": robust_oce(d, loss, cost, phi).evaluations,
         },
     }
+d = Normal(0.3, 1.2)
+moving = {"ball_oce": BallPenalty(0.4), "piecewise_oce": PiecewiseLinearPenalty(((0.0, 0.6), (1.0, 2.0), (2.5, 5.0)))}
+out["normal"] = {
+    "us": {op: per_call_us(lambda: robust_oce(d, loss, cost, phi)) for op, phi in moving.items()},
+    "count": {op: robust_oce(d, loss, cost, phi).evaluations for op, phi in moving.items()},
+}
 print(json.dumps(out))
 """
 
@@ -119,21 +136,21 @@ def main(argv=None) -> int:
             runs[name].append(launch(trees[name]))
 
     summary: dict = {name: {} for name in trees}
-    print(f"{'tree':8} {'atoms':>6} {'operation':17} {'median us':>10} {'q1':>10} {'q3':>10} {'count':>6}")
+    print(f"{'tree':8} {'prior':>6} {'operation':17} {'median us':>10} {'q1':>10} {'q3':>10} {'count':>6}")
     for name, rows in runs.items():
-        for n in map(str, SIZES):
-            for op in OPERATIONS:
+        for n, operations in GROUPS.items():
+            for op in operations:
                 q1, q2, q3 = quartiles([row[n]["us"][op] for row in rows])
                 count = rows[0][n]["count"].get(op)
                 summary[name].setdefault(n, {})[op] = {"median_us": q2, "q1_us": q1, "q3_us": q3, "count": count}
                 shown = "" if count is None else str(count)
                 print(f"{name:8} {n:>6} {op:17} {q2:10.1f} {q1:10.1f} {q3:10.1f} {shown:>6}")
     wins = {}
-    for n in map(str, SIZES):
-        for op in OPERATIONS:
+    for n, operations in GROUPS.items():
+        for op in operations:
             won = sum(c[n]["us"][op] < b[n]["us"][op] for b, c in zip(runs["base"], runs["change"]))
             wins[f"{n}/{op}"] = won
-            print(f"{n:>6} atoms {op:17} change faster in {won} of {args.launches} launch pairs")
+            print(f"{n:>6} {op:17} change faster in {won} of {args.launches} launch pairs")
     print(json.dumps({"launches": args.launches, "change_wins": wins, **summary}))
     return 0
 
