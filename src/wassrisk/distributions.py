@@ -4,10 +4,16 @@ Every formula downstream consumes the prior law only through the one-sided
 partial moments E[((X-m)^+)^k] and E[((X-m)^-)^k] for k in {1, 2}, the mean
 and quantiles.  Those are implemented in closed form for the empirical,
 normal and exponential families, and through exact tail identities built on
-the Student-t distribution function (absolute accuracy better than 1e-10).
-The normal and Student-t families take their distribution functions and
-quantiles from scipy.special, which the first of their calls imports; the
-empirical and exponential families never import scipy.  Each family class
+the Student-t distribution function.  The normal and Student-t distribution
+functions and quantiles are computed here, with the standard library only:
+the normal cdf from math.erfc, its quantile from Wichura's AS241, the
+Student-t cdf from one regularized incomplete beta
+(a power series near the centre, TOMS 708's asymptotic expansion in the
+tails) and its quantile from Hill's start (CACM Algorithm 396) refined by
+Newton steps; no scipy module is imported.  Each family gives all four
+one-sided partial moments at a point from one evaluation of its kernel
+(`partial_moments`): one pdf and two erfc for a normal, one incomplete beta
+for a Student-t, one searchsorted for an empirical law.  Each family class
 carries its own formulas; the module functions check their arguments and
 dispatch to the class.  A finite-support prior also solves the
 fixed-coefficient first-order condition of the expectile family exactly
@@ -20,9 +26,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,20 +38,24 @@ from .errors import MomentUndefined, NoConvergence
 
 WEIGHT_SUM_TOL = 1e-12
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _DISCRETIZE_N = 2001
 
 
-@cache
-def _special():
-    """scipy.special, imported on the first call: only the normal and
-    Student-t families use it, and its import costs more than the rest of
-    the package."""
-    from scipy import special
+class _OneEvaluation:
+    """The one-sided partial moments of one power, read from the family's
+    `partial_moments(m, power)`: (P1+, P1-) for power 1 and (P1+, P1-,
+    P2+, P2-) for power 2, every power up to the one asked from one
+    evaluation of the family's kernel."""
 
-    return special
+    def upper_partial_moment(self, m: float, power: int) -> float:
+        return self.partial_moments(m, int(power))[-2]  # type: ignore[attr-defined]
+
+    def lower_partial_moment(self, m: float, power: int) -> float:
+        return self.partial_moments(m, int(power))[-1]  # type: ignore[attr-defined]
 
 
-class Empirical:
+class Empirical(_OneEvaluation):
     """Finite discrete law given as (value, weight) atoms.
 
     The state is two arrays, the values sorted ascending and their weights:
@@ -199,17 +210,15 @@ class Empirical:
     def negate(self) -> "Empirical":
         return Empirical.from_arrays(-self._x, self._w)
 
-    def upper_partial_moment(self, m: float, power: int) -> float:
-        i = int(self._x.searchsorted(m, side="right"))
-        if i == len(self._x):
-            return 0.0
-        return _about_atom(self._tail, i, float(self._x[i]) - m, power)
-
-    def lower_partial_moment(self, m: float, power: int) -> float:
-        i = int(self._x.searchsorted(m, side="right")) - 1
-        if i < 0:
-            return 0.0
-        return _about_atom(self._head, i, m - float(self._x[i]), power)
+    def partial_moments(self, m: float, power: int = 2) -> tuple[float, ...]:
+        """The partial moments at m up to `power` from one searchsorted: the
+        atoms above m about the first of them, those at or below m about
+        the last."""
+        x = self._x
+        i = int(x.searchsorted(m, side="right"))
+        up1, up2 = _about_atom(self._tail, i, x.item(i) - m) if i < x.size else (0.0, 0.0)
+        lo1, lo2 = _about_atom(self._head, i - 1, m - x.item(i - 1)) if i > 0 else (0.0, 0.0)
+        return (up1, lo1) if power == 1 else (up1, lo1, up2, lo2)
 
     def affine_root(self, shift: float, a: float, b: float) -> tuple[float, int]:
         """(m, probes): the root of s(m) = shift + b*E[(X - m)^-] -
@@ -295,16 +304,14 @@ class Empirical:
         return self._x, self._w
 
 
-def _about_atom(sums: tuple[np.ndarray, ...], i: int, t: float, power: int) -> float:
-    """sum w (r + t)^power over the atoms on one side of atom i, r >= 0 their
-    distance to it, from that side's (cw, S1, S2) and t >= 0."""
-    cw, s1, s2 = sums
-    if power == 1:
-        return float(s1[i]) + t * float(cw[i])
-    return float(s2[i]) + t * (2.0 * float(s1[i]) + t * float(cw[i]))
+def _about_atom(sums: tuple[np.ndarray, ...], i: int, t: float) -> tuple[float, float]:
+    """(sum w (r + t), sum w (r + t)^2) over the atoms on one side of atom i,
+    r >= 0 their distance to it, from that side's (cw, S1, S2) and t >= 0."""
+    cw, s1, s2 = sums[0].item(i), sums[1].item(i), sums[2].item(i)
+    return s1 + t * cw, s2 + t * (2.0 * s1 + t * cw)
 
 
-class _Parametric:
+class _Parametric(_OneEvaluation):
     """Behaviour shared by the continuous families: unbounded mass above,
     a positive density on the support, and the midpoint-quantile
     discretization as their atoms."""
@@ -359,20 +366,29 @@ class Normal(_Parametric):
         if not math.isfinite(self.mean):
             raise ValueError("mean must be finite")
 
-    def upper_partial_moment(self, m: float, power: int) -> float:
-        return self.stddev**power * _normal_plus((m - self.mean) / self.stddev, power)
-
-    def lower_partial_moment(self, m: float, power: int) -> float:
-        return self.stddev**power * _normal_plus(-((m - self.mean) / self.stddev), power)
+    def partial_moments(self, m: float, power: int = 2) -> tuple[float, ...]:
+        """The partial moments at m up to `power` from one pdf and the two
+        tails: with z standardized, E[(Z - z)^+] = pdf - z*sf, E[((Z -
+        z)^+)^2] = (1 + z^2)*sf - z*pdf, and the lower ones by the symmetry
+        of Z."""
+        sd = self.stddev
+        z = (m - self.mean) / sd
+        sf, cdf = 0.5 * math.erfc(z / _SQRT2), 0.5 * math.erfc(-z / _SQRT2)
+        pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
+        first = (sd * max(pdf - z * sf, 0.0), sd * max(pdf + z * cdf, 0.0))
+        if power == 1:
+            return first
+        c = 1.0 + z * z
+        return first + (sd * sd * max(c * sf - z * pdf, 0.0), sd * sd * max(c * cdf + z * pdf, 0.0))
 
     def expected_value(self) -> float:
         return self.mean
 
     def ppf(self, alpha: float) -> float:
-        return self.mean + self.stddev * float(_special().ndtri(alpha))
+        return self.mean + self.stddev * _normal_quantile(alpha)
 
     def cdf(self, m: float) -> float:
-        return float(_special().ndtr((m - self.mean) / self.stddev))
+        return 0.5 * math.erfc(-((m - self.mean) / self.stddev) / _SQRT2)
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mean + self.stddev * rng.standard_normal(n)
@@ -403,26 +419,26 @@ class Exponential(_Parametric):
         if not (self.rate > 0.0 and math.isfinite(self.rate)):
             raise ValueError("rate must be a positive real")
 
-    def upper_partial_moment(self, m: float, power: int) -> float:
+    def partial_moments(self, m: float, power: int = 2) -> tuple[float, ...]:
+        """The partial moments at m up to `power`, from one exponential."""
+        mu = 1.0 / self.rate
         if m < 0.0:
-            mu = 1.0 / self.rate
-            if power == 1:
-                return mu - m
-            return mu * mu + (mu - m) * (mu - m)
-        e = math.exp(-self.rate * m)
+            return (mu - m, 0.0, mu * mu + (mu - m) * (mu - m), 0.0)[: 2 * power]
+        t = self.rate * m
+        e = math.exp(-t)
+        moments = (e / self.rate, self._below(m, t, e, 1))
         if power == 1:
-            return e / self.rate
-        return 2.0 * e / (self.rate * self.rate)
+            return moments
+        return moments + (2.0 * e / (self.rate * self.rate), self._below(m, t, e, 2))
 
-    def lower_partial_moment(self, m: float, power: int) -> float:
-        if m <= 0.0:
+    def _below(self, m: float, t: float, e: float, power: int) -> float:
+        """E[((X - m)^-)^power] for m >= 0, t = rate*m and e = exp(-t)."""
+        if m == 0.0:
             return 0.0
         mu = 1.0 / self.rate
-        t = self.rate * m
         if t < 0.5:
             # the closed forms below cancel to rounding noise as t -> 0
             return mu**power * _exp_head_series(t, power)
-        e = math.exp(-t)
         if power == 1:
             return max(m - mu + e * mu, 0.0)
         return max(mu * mu + (mu - m) * (mu - m) - 2.0 * e * mu * mu, 0.0)
@@ -460,14 +476,30 @@ class StudentT(_Parametric):
         if not math.isfinite(self.location):
             raise ValueError("location must be finite")
 
-    def upper_partial_moment(self, m: float, power: int) -> float:
-        z = (m - self.location) / self.scale
-        return self.scale**power * _t_plus(z, self.dof, power)
+    def partial_moments(self, m: float, power: int = 2) -> tuple[float, ...]:
+        """The partial moments at m up to `power` from one incomplete beta;
+        raises MomentUndefined unless dof > power.
 
-    def lower_partial_moment(self, m: float, power: int) -> float:
-        # symmetry of the standardized t: ((Z-z)^-)^k has the law of ((Z+z)^+)^k
-        z = (m - self.location) / self.scale
-        return self.scale**power * _t_plus(-z, self.dof, power)
+        With z standardized, sf/cdf the two tails and f the density at z,
+        int_z^inf x f = f*(dof + z^2)/(dof - 1) =: k, so E[(Z - z)^+] =
+        k - z*sf; and int_z^inf x^2 f = dof/(dof - 2)*sf + z*k*(dof - 1)/(dof
+        - 2) (both sides have derivative -z^2 f and vanish at +inf), which is
+        the t kernel with dof - 2 degrees of freedom at the same incomplete
+        beta argument folded back in (DLMF 8.17.20), with no subtraction.
+        The lower moments follow from the symmetry of Z."""
+        dof = self.dof
+        if dof <= power:
+            raise MomentUndefined(f"Student-t partial moment of power {power} requires dof > {power}")
+        sc = self.scale
+        z = (m - self.location) / sc
+        sf, cdf, f = _t_tails(z, dof)
+        k = f * (dof + z * z) / (dof - 1.0)
+        first = (sc * max(k - z * sf, 0.0), sc * max(k + z * cdf, 0.0))
+        if power == 1:
+            return first
+        c = dof / (dof - 2.0) + z * z
+        g = z * k * (dof - 3.0) / (dof - 2.0)
+        return first + (sc * sc * max(c * sf - g, 0.0), sc * sc * max(c * cdf + g, 0.0))
 
     def expected_value(self) -> float:
         if self.dof <= 1.0:
@@ -478,10 +510,10 @@ class StudentT(_Parametric):
         return self.dof > 2.0
 
     def ppf(self, alpha: float) -> float:
-        return self.location + self.scale * float(_special().stdtrit(self.dof, alpha))
+        return self.location + self.scale * _t_quantile(alpha, self.dof)
 
     def cdf(self, m: float) -> float:
-        return float(_special().stdtr(self.dof, (m - self.location) / self.scale))
+        return _t_tails((m - self.location) / self.scale, self.dof)[1]
 
     def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.location + self.scale * rng.standard_t(self.dof, size=n)
@@ -500,47 +532,344 @@ def _check_power(power: int) -> None:
         raise ValueError(f"power must be 1 or 2, got {power!r}")
 
 
-def _normal_plus(z: float, power: int) -> float:
-    """Standardized E[((Z-z)^+)^power] for Z ~ N(0,1)."""
-    sf = float(_special().ndtr(-z))
-    pdf = math.exp(-0.5 * z * z) / _SQRT_2PI
-    if power == 1:
-        return max(pdf - z * sf, 0.0)
-    return max((1.0 + z * z) * sf - z * pdf, 0.0)
+# -- Normal quantile --------------------------------------------------------
+# Wichura's AS241 ("The percentage points of the normal distribution", Appl.
+# Stat. 37, 1988), about 1e-16 relative: with q = p - 1/2, a ratio of degree-7
+# polynomials in r = 0.180625 - q^2 near the centre (|q| <= 0.425), times q,
+# and in the tails of r = sqrt(-log(min(p, 1 - p))) less 1.6 (r <= 5) or 5.
+# (numerator, denominator) coefficients, the highest power first.
+_AS241_CENTRE = (
+    (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853, 45921.953931549871457,
+     13731.693765509461125, 1971.5909503065514427, 133.14166789178437745, 3.387132872796366608),
+    (5226.495278852854561, 28729.085735721942674, 39307.89580009271061, 21213.794301586595867,
+     5394.1960214247511077, 687.1870074920579083, 42.313330701600911252, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177, 1.27045825245236838258,
+     3.64784832476320460504, 5.7694972214606914055, 4.6303378461565452959, 1.42343711074968357734),
+    (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966, 0.14810397642748007459,
+     0.68976733498510000455, 1.6763848301838038494, 2.05319162663775882187, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386, 0.026532189526576123093,
+     0.29656057182850489123, 1.7848265399172913358, 5.4637849111641143699, 6.6579046435011037772),
+    (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5, 7.868691311456132591e-4,
+     0.0148753612908506148525, 0.13692988092273580531, 0.59983220655588793769, 1.0),
+)
+
+
+def _ratio(coefs: tuple[tuple[float, ...], tuple[float, ...]], r: float, scale: float = 1.0) -> float:
+    """scale*num(r)/den(r), each polynomial by Horner's rule."""
+    num = den = 0.0
+    for a, b in zip(*coefs):
+        num = num * r + a
+        den = den * r + b
+    return num * scale / den
+
+
+def _normal_quantile(p: float) -> float:
+    """The p-quantile of the standard normal, for 0 < p < 1 (AS241)."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return _ratio(_AS241_CENTRE, 0.180625 - q * q, q)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    x = _ratio(_AS241_NEAR, r - 1.6) if r <= 5.0 else _ratio(_AS241_FAR, r - 5.0)
+    return -x if q < 0.0 else x
+
+
+# -- Student-t kernels ------------------------------------------------------
+# The two-sided tail I = P(|T| > t) of the t law with dof = 2a degrees of
+# freedom is the regularized incomplete beta I_x(a, 1/2) at x = dof/(dof +
+# t^2), and J = P(|T| < t) = 1 - I is I_y(1/2, a) at y = t^2/(dof + t^2).
+# One of the two is computed directly, J near the centre and I elsewhere,
+# each only where it stays below about 3/4, and the other is its
+# complement, so that neither loses more than two bits to the subtraction.
+
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_EPS = sys.float_info.epsilon
+_NEWTON_STEPS = 60
+_BGRAT_MIN_A = 15.0  # from where the asymptotic expansion is accurate, at x >= 1/4
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _gamma_ratio(a: float) -> float:
+    """Gamma(a + 1/2)/Gamma(a) for a > 0: sqrt(a) exp(sum_k c_k a^-k), the
+    Stirling series of its log, from a >= 10 on, where the terms through
+    a^-15 leave less than 1e-16, and below by the recurrence Gamma(a +
+    3/2)/Gamma(a + 1) = Gamma(a + 1/2)/Gamma(a) (a + 1/2)/a: a factor for a
+    step from below 1, whose log would be large, and the log1p of each
+    later one.  No large logarithm is exponentiated."""
+    factor = 1.0
+    if a < 1.0:
+        factor = a / (a + 0.5)
+        a += 1.0
+    down = 0.0
+    while a < 10.0:
+        down += math.log1p(0.5 / a)
+        a += 1.0
+    r = 1.0 / a
+    r2 = r * r
+    series = 0.0
+    for c in reversed(_STIRLING_HALF):
+        series = series * r2 + c
+    return factor * math.sqrt(a) * math.exp(r * series - down)
+
+
+# c_k of the Stirling series of log(Gamma(a + 1/2)/Gamma(a)) - log(a)/2, k odd:
+# (-1)^(k+1) (B_(k+1)(1/2) - B_(k+1)) / (k (k + 1)), with B_n(1/2) = (2^(1-n)
+# - 1) B_n (DLMF 5.11.8, 24.4.27)
+_STIRLING_HALF = (
+    -1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224, -5461 / 425984, 929569 / 15728640
+)
 
 
 @lru_cache(maxsize=64)
-def _t_log_norm(dof: float) -> float:
-    return math.lgamma((dof + 1.0) / 2.0) - math.lgamma(dof / 2.0) - 0.5 * math.log(dof * math.pi)
+def _t_density_norm(dof: float) -> float:
+    """Gamma((dof + 1)/2) / (Gamma(dof/2) sqrt(dof pi)), the density at 0."""
+    return _gamma_ratio(0.5 * dof) / math.sqrt(dof * math.pi)
 
 
-def _t_pdf(z: float, dof: float) -> float:
-    return math.exp(_t_log_norm(dof) - 0.5 * (dof + 1.0) * math.log1p(z * z / dof))
+def _beta_head(b: float, y: float) -> float:
+    """sum_n (b + 1/2)_n / (3/2)_n y^n, the series of I_y(1/2, b) =
+    y^(1/2) (1 - y)^b / (B(1/2, b)/2) times this sum (DLMF 8.17.8).  Every
+    term is positive, and where (b + 1/2) y < 0.6 and y < 0.6 consecutive
+    terms shrink by a factor below max(0.4, y) < 0.6."""
+    total = term = 1.0
+    n = 0.0
+    while term > _EPS * total:
+        term *= (b + 0.5 + n) / (1.5 + n) * y
+        total += term
+        n += 1.0
+    return total
 
 
-def _t_tail_integrals(z: float, dof: float) -> tuple[float, float]:
-    """(int_z^inf f, int_z^inf x f) for the standard t density with `dof`."""
-    # stdtr is exact near z = 0, where an incomplete beta at dof/(dof + z^2)
-    # rounds 1 - x and loses up to 4e-9
-    i1 = float(_special().stdtr(dof, -z))
-    i2 = _t_pdf(z, dof) * (dof + z * z) / (dof - 1.0)
-    return i1, i2
+def _bgrat_terms() -> tuple[tuple[float, float, float], ...]:
+    """(d_n, b_n (b_n + 1), b_n + 1) with b_n = b + 2n, for TOMS 708's
+    BGRAT at b = 1/2, where they depend on neither a nor x: c_n = c_(n-1)
+    / (2n (2n + 1)) from c_0 = 1, and d_n = (b - 1) c_n + sum_(0<i<n) (i b
+    - n) c_i d_(n-i) / n (DiDonato & Morris, 1992)."""
+    b = 0.5
+    c: list[float] = []
+    d: list[float] = []
+    cn = 1.0
+    for n in range(1, 31):
+        cn /= 2.0 * n * (2.0 * n + 1.0)
+        c.append(cn)
+        s, coef = 0.0, b - n
+        for i in range(1, n):
+            s += coef * c[i - 1] * d[n - i - 1]
+            coef += b
+        d.append((b - 1.0) * cn + s / n)
+    return tuple((dn, (b + 2.0 * n) * (b + 2.0 * n + 1.0), b + 2.0 * n + 1.0) for n, dn in enumerate(d))
 
 
-def _t_plus(z: float, dof: float, power: int) -> float:
-    if power == 1:
-        if dof <= 1.0:
-            raise MomentUndefined("Student-t partial moment of power 1 requires dof > 1")
-        i1, i2 = _t_tail_integrals(z, dof)
-        return max(i2 - z * i1, 0.0)
-    if dof <= 2.0:
-        raise MomentUndefined("Student-t partial moment of power 2 requires dof > 2")
-    i1, i2 = _t_tail_integrals(z, dof)
-    # int_z^inf x^2 f: x^2 = dof*(1 + x^2/dof) - dof folds the integrand back
-    # onto the t kernels with dof and dof-2 degrees of freedom.
-    i3 = dof * (dof - 1.0) / (dof - 2.0) * float(_special().stdtr(dof - 2.0, -z * math.sqrt((dof - 2.0) / dof)))
-    i3 -= dof * i1
-    return max(i3 - 2.0 * z * i2 + z * z * i1, 0.0)
+_BGRAT_TERMS = _bgrat_terms()
+
+
+def _beta_tail(a: float, lnx: float, lnx_lo: float) -> float:
+    """I_x(a, 1/2) for a >= 15 and x >= 1/4, from log x = lnx + lnx_lo:
+    Temme's uniform expansion in the incomplete gamma function Q(1/2, u) =
+    erfc(sqrt(u)), u = -(a - 1/4) log x, as TOMS 708's BGRAT sums it
+    (DiDonato & Morris, ACM TOMS 18, 1992).  The value moves by u times
+    the relative error of u, so u is formed to about twice the working
+    precision, and both e^-u and erfc take its low part as a first-order
+    correction."""
+    nu = a - 0.25
+    u, u_lo = _two_prod(nu, lnx)
+    u, u_lo = -u, -(u_lo + nu * lnx_lo)
+    r = math.exp(-u) * math.sqrt(u / math.pi)  # e^-u u^b / Gamma(b)
+    if r == 0.0:  # the whole expansion underflows with it
+        return 0.0
+    r -= r * u_lo
+    w = math.sqrt(u)
+    p, p_lo = _two_prod(w, w)
+    j = math.erfc(w) / r - ((u - p) - p_lo + u_lo) / (w * w)  # erfc at sqrt(u + u_lo)
+    v = 0.25 / (nu * nu)
+    t2 = 0.25 * lnx * lnx
+    total = j
+    t = 1.0
+    for dn, jj, ju in _BGRAT_TERMS:
+        j = (jj * j + (u + ju) * t) * v
+        t *= t2
+        term = dn * j
+        total += term
+        if abs(term) <= _EPS * total:
+            break
+    return r * _beta_tail_scale(a) * total
+
+
+@lru_cache(maxsize=64)
+def _beta_tail_scale(a: float) -> float:
+    """Gamma(a + 1/2) / (Gamma(a) sqrt(a - 1/4)), BGRAT's normalization."""
+    return _gamma_ratio(a) / math.sqrt(a - 0.25)
+
+
+def _log1m(y: float, y_lo: float) -> tuple[float, float]:
+    """log(1 - y) for 0 <= y < 0.01 given as y + y_lo, as a pair (hi, lo):
+    the series -(y + y^2/2 + y^3/3 + ...), whose leading term is exact."""
+    rest, power, k = 0.0, y, 1
+    while True:
+        k += 1
+        power *= y
+        term = power / k
+        rest += term
+        if term <= 1e-17 * rest:
+            break
+    hi = -y - rest
+    return hi, ((-y - hi) - rest) - y_lo
+
+
+def _t_kernel(t: float, dof: float) -> tuple[float, float, float]:
+    """(I, J, f) at t >= 0: the two-sided tail P(|T| > t), its complement
+    P(|T| < t), and the density, for T a standard t with `dof`.
+
+    x = dof/(dof + t^2) is carried with its rounding error (and y = 1 - x
+    with its own where log x comes from y), so that the density C x^((dof +
+    1)/2) is exact to a few ulps even for large dof.  Near the centre, (a +
+    1/2) y < 0.6 and y < 0.6, J is 2 f t times the series of I_y(1/2, a),
+    and stays below about 3/4, so that I = 1 - J keeps its digits.  Elsewhere I
+    is the sum of the terms I_x(a + k, 1/2) - I_x(a + k + 1, 1/2) = x^(a+k)
+    y^(1/2)/((a + k) B(a + k, 1/2)) (DLMF 8.17.20), the first 2 f t/dof and
+    each the last times x (a + k + 1/2)/(a + k + 1) < x: summed until a term
+    falls below the rounding of the sum (the rest is below term/(1 - x)),
+    or, once a + k reaches 15 with x >= 1/4, closed by I_x(a + k, 1/2) from
+    the asymptotic expansion, which fails for small x.  All the terms are
+    positive, so no digits cancel.  Far in the tail, where x < 1e-16 and
+    t^2 or the density leave the float range, I is the first term, in
+    logs."""
+    c = _t_density_norm(dof)
+    e = 0.5 * (dof + 1.0)
+    if t > 1e8 * math.sqrt(dof):  # x = dof/(dof + t^2) < 1e-16
+        lnx = math.log(dof) - 2.0 * math.log(t)
+        if t > 1e150 or e * lnx < -700.0:
+            return 2.0 * c / dof * math.exp(e * lnx + math.log(t)), 1.0, c * math.exp(e * lnx)
+    t2, t2_lo = _two_prod(t, t)
+    s = dof + t2
+    s_lo = ((dof - s) + t2 if dof >= t2 else (t2 - s) + dof) + t2_lo
+    x, y = dof / s, t2 / s
+    x_lo = 0.0
+    if s < 1e300:  # else Dekker's split overflows
+        p, p_lo = _two_prod(x, s)
+        x_lo = ((dof - p) - p_lo - x * s_lo) / s
+    f = c * x**e * math.exp(e * x_lo / x)  # x^e (1 + x_lo/x)^e
+    a = 0.5 * dof
+    if y * (a + 0.5) < 0.6 and y < 0.6:
+        j = 2.0 * f * t * _beta_head(a, y)
+        return 1.0 - j, j, f
+    head, term = 0.0, 2.0 * f * t / dof
+    while a < _BGRAT_MIN_A or x < 0.25:
+        head += term
+        term *= x * (a + 0.5) / (a + 1.0)
+        a += 1.0
+        if term <= _EPS * (1.0 - x) * head:  # the rest, below term/(1 - x), is rounding
+            return head, 1.0 - head, f
+    if y >= 0.01:
+        lnx, lnx_lo = math.log(x), x_lo / x
+    else:  # log x is about -y: take its digits from y's, not from x's
+        p, p_lo = _two_prod(y, s)
+        lnx, lnx_lo = _log1m(y, ((t2 - p) - p_lo + t2_lo - y * s_lo) / s)
+    i = head + _beta_tail(a, lnx, lnx_lo)
+    return i, 1.0 - i, f
+
+
+def _t_tails(z: float, dof: float) -> tuple[float, float, float]:
+    """(P(T > z), P(T <= z), density at z) for a standard t with `dof`."""
+    i, j, f = _t_kernel(abs(z), dof)
+    small, large = 0.5 * i, 0.5 + 0.5 * j
+    return (small, large, f) if z >= 0.0 else (large, small, f)
+
+
+def _hill_start(p: float, dof: float) -> float:
+    """t > 0 with P(|T| > t) about p: Hill's Algorithm 396 (CACM 13, 1970)
+    for 1 <= dof <= 1e10, exact at dof 1 and 2; the normal quantile above;
+    below dof 1 the tail's leading power, or the density at 0 near the
+    centre."""
+    if dof == 1.0:
+        return 1.0 / math.tan(0.5 * math.pi * p)
+    if dof == 2.0:
+        return (1.0 - p) * math.sqrt(2.0) / (math.sqrt(p) * math.sqrt(2.0 - p))
+    if dof > 1e10:
+        return -_normal_quantile(0.5 * p)
+    if dof < 1.0:
+        c = _t_density_norm(dof)
+        if p > 0.5:
+            return (1.0 - p) / (2.0 * c)
+        return math.sqrt(dof) * math.exp(min((math.log(2.0 * c / dof) - math.log(p)) / dof, 709.0))
+    a = 1.0 / (dof - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * dof
+    log_dp = math.log(d) + math.log(p)
+    y = math.exp(2.0 * log_dp / dof)
+    if y > 0.05 + a:
+        x = _normal_quantile(0.5 * p)
+        y = x * x
+        if dof < 5.0:
+            c += 0.3 * (dof - 4.5) * (x + 0.6)
+        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+        y = math.expm1(a * y * y)
+    elif y > _EPS:
+        y = ((1.0 / (((dof + 6.0) / (dof * y) - 0.089 * d - 0.822) * (dof + 2.0) * 3.0) + 0.5 / (dof + 4.0)) * y - 1.0) * (
+            dof + 1.0
+        ) / (dof + 2.0) + 1.0 / y
+    else:  # far in the tail: its leading power
+        return math.sqrt(dof) * math.exp(min(-log_dp / dof, 709.0))
+    return math.sqrt(dof * y)
+
+
+def _t_quantile(alpha: float, dof: float) -> float:
+    """The alpha-quantile of a standard t with `dof`, for 0 < alpha < 1.
+
+    By symmetry it solves, for t > 0, I(t) = 2q with q = min(alpha, 1 -
+    alpha) when q < 1/4, else J(t) = 1 - 2q, which 1 - 2q states exactly.
+    From Hill's start, Newton steps run on the log of that probability
+    against log t.  It is concave there, so after at most one step past the
+    root the steps close in from one side; a step is at most 50 (a factor
+    e^50 in t).  Convergence is quadratic with a curvature of order one, so
+    a step below 1e-8 leaves an error near its square and is the last; a
+    small step that no longer shrinks has reached the rounding of the
+    kernel and is not taken.  A quantile past the float range is +-inf;
+    where the density at it underflows the result is only as good as the
+    tail's leading term in logs."""
+    q = min(alpha, 1.0 - alpha)
+    if q == 0.5:
+        return 0.0
+    tail = q < 0.25
+    target = 2.0 * q if tail else 1.0 - 2.0 * q
+    t = _hill_start(2.0 * q, dof)
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        if not 0.0 < t < math.inf:
+            break
+        i, j, f = _t_kernel(t, dof)
+        v = i if tail else j
+        if v > 0.0 and f > 0.0:
+            step = math.log(v / target) * v / (2.0 * t * f)
+            step = step if tail else -step
+        elif v > 0.0 and tail:  # the density underflows: I falls as t^-dof
+            step = math.log(v / target) / dof
+        else:  # the probability underflows: t is far past the root
+            step = -50.0 if tail else 50.0
+        if abs(step) < 1e-3 and abs(step) >= last:
+            break
+        t *= math.exp(max(-50.0, min(step, 50.0)))
+        if abs(step) <= 1e-8:
+            break
+        last = abs(step)
+    else:
+        raise NoConvergence(f"Student-t quantile at alpha = {alpha!r}, dof = {dof!r} did not settle")
+    return t if alpha > 0.5 else -t
 
 
 def partial_moment_plus(d: PriorDistribution, m: float, power: int) -> float:
@@ -553,6 +882,15 @@ def partial_moment_minus(d: PriorDistribution, m: float, power: int) -> float:
     """E[((X - m)^-)^power] with (X - m)^- = max(m - X, 0)."""
     _check_power(power)
     return d.lower_partial_moment(float(m), power)
+
+
+def partial_moments(d: PriorDistribution, m: float, power: int = 2) -> tuple[float, ...]:
+    """The one-sided partial moments of every power up to `power` (1 or 2) at
+    m, from one evaluation of the family's kernel: (E[(X - m)^+], E[(X -
+    m)^-]) and, for power 2, E[((X - m)^+)^2], E[((X - m)^-)^2].  Raises
+    MomentUndefined when a moment asked for is not finite."""
+    _check_power(power)
+    return d.partial_moments(float(m), int(power))
 
 
 def mean(d: PriorDistribution) -> float:

@@ -56,6 +56,7 @@ from .distributions import (
     PriorDistribution,
     partial_moment_minus,
     partial_moment_plus,
+    partial_moments,
 )
 from .errors import Infeasible, NoConvergence
 from .losses import (
@@ -109,8 +110,9 @@ class RobustValue:
 
 
 def _partial_moment_sum(d: PriorDistribution, big_a: float, big_b: float, p: float, m: float) -> float:
-    """A*E[((X - m)^+)^p] + B*E[((X - m)^-)^p]; an infinite side leaves a
-    finite value only when it holds no mass."""
+    """A*E[((X - m)^+)^p] + B*E[((X - m)^-)^p], both sides from one
+    evaluation; an infinite side leaves a finite value only when it holds
+    no mass."""
     if math.isinf(big_a):
         if d.mass_above(m):
             return INF
@@ -119,7 +121,8 @@ def _partial_moment_sum(d: PriorDistribution, big_a: float, big_b: float, p: flo
         if d.mass_below(m):
             return INF
         return big_a * partial_moment_plus(d, m, p)
-    return big_a * partial_moment_plus(d, m, p) + big_b * partial_moment_minus(d, m, p)
+    plus, minus = partial_moments(d, m, p)[-2:]
+    return big_a * plus + big_b * minus
 
 
 def expected_loss(d: PriorDistribution, loss: LossSpec, m: float) -> float:
@@ -154,10 +157,18 @@ def expected_transform(
 
 
 def _dual(
-    d: PriorDistribution, loss: LossSpec, cost: CostExponent, phi: Penalization
+    d: PriorDistribution,
+    loss: LossSpec,
+    cost: CostExponent,
+    phi: Penalization,
+    moments: Optional[Callable[[float, int], tuple[float, ...]]] = None,
 ) -> tuple[Optional[float], Callable[[float], tuple[float, float, bool, Optional[np.ndarray]]]]:
     """(lambda_fixed, at) of the dual minimization over lambda, built once
-    per solve; at(m) gives (value, argmin lambda, boundary flag, y*).
+    per solve; at(m) gives (value, argmin lambda, boundary flag, y*).  A
+    closed form under p = 2 reads the prior's second partial moments from
+    `moments(m, 2)`, (P1+, P1-, P2+, P2-) as `partial_moments` gives them
+    (the default), so that a caller can share one evaluation per m with its
+    m-slope.
 
     Raises what makes the dual +inf at every m: UncertifiedGrowth for a
     custom loss (certified here, once, for every numeric supremum below),
@@ -178,6 +189,8 @@ def _dual(
     form = loss.closed_form(cost.p)
     thr = finiteness_threshold(loss, cost)
     pieces = phi.conjugate_pieces()
+    if moments is None:
+        moments = functools.partial(partial_moments, d)
     lam_cap = pieces[-1][1]
     if lam_cap < thr or (lam_cap == thr and cost.p != 1.0):
         raise Infeasible(
@@ -190,10 +203,16 @@ def _dual(
         return thr, lambda m: (expected_loss(d, loss, m) + floor, thr, True, None)
 
     if pieces[-1][2] == 0.0:
+        if form is not None:  # lambda = inf leaves the loss itself, (a, b)
+            big_a, big_b = form if math.isinf(lam_cap) else quad_transform_coefficients(*form, lam_cap)  # type: ignore[misc]
+
+            def at_closed_cap(m: float) -> tuple:
+                _, _, plus, minus = moments(m, 2)  # type: ignore[misc]
+                return big_a * plus + big_b * minus, lam_cap, True, None
+
+            return lam_cap, at_closed_cap
         if math.isinf(lam_cap):
             return INF, lambda m: (expected_loss(d, loss, m), INF, True, None)
-        if form is not None:
-            return lam_cap, lambda m: (expected_transform(d, loss, cost, lam_cap, m), lam_cap, True, None)
         xs, w = d.atoms()
 
         def at_cap(m: float) -> tuple:
@@ -216,8 +235,7 @@ def _dual(
             # partial moments at m, taken once; every lambda considered lies
             # above max(a, b), where both transform coefficients are finite
             a, b = form
-            plus = partial_moment_plus(d, m, 2)
-            minus = partial_moment_minus(d, m, 2)
+            _, _, plus, minus = moments(m, 2)  # type: ignore[misc]
             if not math.isfinite(a * plus + b * minus):
                 raise Infeasible("dual objective is +inf on the whole feasible range")
 
@@ -412,18 +430,31 @@ def _solve_outer(
     dual solve.  Other losses take theirs from `_numeric_argmin`.  The dual
     is built once, before any search, and raises there for a penalty
     infeasible at every m.  The value is the objective at a finite point of
-    the set; (value, lambda, boundary, y*) is memoised per m.
+    the set; (value, lambda, boundary, y*) is memoised per m, and under p = 2
+    so are the prior's partial moments at m: the slope reads the first ones
+    and the dual the second ones of one `partial_moments` evaluation, which
+    takes the second powers too once the dual has asked for them there.
     """
     seen: dict[float, tuple] = {}
     p = loss.growth_bound()[1] if cost is None else cost.p
     form = loss.closed_form(p)
+    moments = None
+    if form is not None and p == 2.0:
+        at_m: dict[float, tuple] = {}
+
+        def moments(m: float, power: int) -> tuple:
+            got = at_m.get(m)
+            if got is None or len(got) < 2 * power:
+                got = at_m[m] = partial_moments(d, m, power)
+            return got
+
     if phi is None:
         lam_fixed, at = INF, lambda m: (expected_loss(d, loss, m), math.nan, False, None)
     else:
-        lam_fixed, at = _dual(d, loss, cost, phi)  # type: ignore[arg-type]
+        lam_fixed, at = _dual(d, loss, cost, phi, moments)  # type: ignore[arg-type]
     fixed = None
-    if form is not None and p == 2.0 and lam_fixed is not None:
-        fixed = quad_transform_coefficients(*form, lam_fixed) if lam_fixed < INF else form
+    if moments is not None and lam_fixed is not None:
+        fixed = quad_transform_coefficients(*form, lam_fixed) if lam_fixed < INF else form  # type: ignore[misc]
 
     def dual(m: float) -> tuple:
         if m not in seen:
@@ -434,12 +465,13 @@ def _solve_outer(
     lo, hi = d.support if restricted else (-INF, INF)
     if form is not None:
 
-        def slope(m: float) -> float:
+        def slope(m: float) -> float:  # called under p = 2 only
             if fixed is None:
                 big_a, big_b = quad_transform_coefficients(*form, dual(m)[1])  # type: ignore[misc]
             else:
                 big_a, big_b = fixed
-            return float(add_m) + _partial_moment_sum(d, -2.0 * big_a, 2.0 * big_b, 1.0, m)
+            plus, minus = moments(m, 1)[:2]  # type: ignore[misc]
+            return float(add_m) + (-2.0 * big_a * plus + 2.0 * big_b * minus)
 
         m1, m2, converged = _closed_form_argmin(d, *form, p, float(add_m), slope, lo, hi, fixed)
     else:

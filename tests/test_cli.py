@@ -21,47 +21,79 @@ IMPORT_PROBE = """
 import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def measure(*argv):
+    with open(sys.argv[2], "w") as sys.stdout:
+        code = wassrisk.cli.main(["measure", *argv])
+    sys.stdout = sys.__stdout__
+    with open(sys.argv[2]) as handle:
+        return [code, handle.read().strip(), scipy_modules()]
 import wassrisk, wassrisk.cli
-steps = {"stats": "scipy.stats" in sys.modules, "import": scipy_modules()}
-from wassrisk import AsymQuadratic, CostExponent, Empirical, Exponential, LinearPenalty, Normal, robust_functional
+steps = {"import": scipy_modules()}
+from wassrisk import AsymQuadratic, BallPenalty, CostExponent, Empirical, Exponential, LinearPenalty, Normal, StudentT
+from wassrisk import robust_functional, robust_oce
 robust_functional(Empirical.uniform([1.0, 2.0, 7.0]), AsymQuadratic(0.3), CostExponent(2.0), LinearPenalty(2.0), 2.5)
 steps["empirical"] = scipy_modules()
 wassrisk.robust_expectile_ball(Exponential(1.5), 0.3, 0.4)
 steps["exponential"] = scipy_modules()
+for name, d in (("normal", Normal(0.0, 1.0)), ("student_t", StudentT(5.0, 0.2, 1.3))):
+    wassrisk.expectile(d, 0.3)
+    wassrisk.robust_expectile_ball(d, 0.3, 0.4)
+    robust_oce(d, AsymQuadratic(0.7), CostExponent(2.0), BallPenalty(0.4))
+    wassrisk.var(d, 0.95)
+    wassrisk.distributions.cdf(d, 0.4)
+    steps[name] = scipy_modules()
 with open(sys.argv[1], "w") as handle:
     handle.write("1\\n2\\n3\\n")
-with open(sys.argv[2], "w") as sys.stdout:
-    code = wassrisk.cli.main(["measure", "robust-expectile", "--penalty", "linear", "--delta", "1",
-                              "--alpha", "0.75", "--samples", sys.argv[1]])
-sys.stdout = sys.__stdout__
-steps["measure"] = [code, scipy_modules()]
-wassrisk.expectile(Normal(0.0, 1.0), 0.3)
-steps["normal"] = scipy_modules()
+steps["measure"] = measure("robust-expectile", "--penalty", "linear", "--delta", "1", "--alpha", "0.75",
+                           "--samples", sys.argv[1])
 print(json.dumps(steps))
 """
 
+# a fresh process that runs one CLI measure and prints the scipy modules it
+# loaded
+MEASURE_PROBE = """
+import json, sys
+import wassrisk.cli
+with open(sys.argv[1], "w") as sys.stdout:
+    code = wassrisk.cli.main(sys.argv[2:])
+sys.stdout = sys.__stdout__
+print(json.dumps([code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))
+"""
 
-def test_import_leaves_scipy_stats_out(tmp_path):
-    # scipy is slow to import: the package imports none of it, and only the
-    # normal and Student-t families load scipy.special, on first use;
-    # the root is the package's own, so scipy.optimize never loads
+
+def _probe(script, *args):
     src = os.path.dirname(os.path.dirname(wassrisk.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "three.csv"), str(tmp_path / "out.txt")],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    steps = json.loads(out.stdout)
-    assert steps["stats"] is False
-    assert steps["import"] == []
-    assert steps["empirical"] == []
-    assert steps["exponential"] == []
-    assert steps["measure"] == [0, []]
-    assert (tmp_path / "out.txt").read_text().strip() == "2.727272727273"
-    assert "scipy.special" in steps["normal"]
-    assert not [m for m in steps["normal"] if m.startswith("scipy.optimize")]
+    return json.loads(out.stdout)
+
+
+def test_no_scipy_module_loads(tmp_path):
+    # scipy is slow to import and the package needs none of it: no scipy
+    # module loads on import, nor after solves on every prior family, where
+    # the normal and Student-t functions are the package's own
+    steps = _probe(IMPORT_PROBE, str(tmp_path / "three.csv"), str(tmp_path / "out.txt"))
+    assert steps == {
+        "import": [],
+        "empirical": [],
+        "exponential": [],
+        "normal": [],
+        "student_t": [],
+        "measure": [0, "2.727272727273", []],
+    }
+
+
+@pytest.mark.parametrize("prior", ["normal:0,1", "student_t:5,0,1"])
+def test_measure_on_a_parametric_prior_loads_no_scipy(tmp_path, prior):
+    out = tmp_path / "out.txt"
+    code, modules = _probe(MEASURE_PROBE, str(out), "measure", "expectile", "--alpha", "0.3", "--prior", prior)
+    assert (code, modules) == (0, [])
+    assert float(out.read_text()) < 0.0
 
 
 class TestPriorSpecs:

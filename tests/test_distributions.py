@@ -1,11 +1,14 @@
+import functools
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+import mpmath
+from scipy import special, stats
 from scipy.integrate import quad
 
 from wassrisk import (
@@ -23,7 +26,7 @@ from wassrisk import (
     quantile,
     sample,
 )
-from wassrisk.distributions import _csv_columns, cdf
+from wassrisk.distributions import _STIRLING_HALF, _csv_columns, _gamma_ratio, _normal_quantile, cdf
 
 from conftest import random_empirical
 from reference_csv import reference_empirical_from_csv
@@ -333,36 +336,170 @@ class TestPartialMomentExamples:
             partial_moment_plus(FAIR_COIN, 0.0, 3)
 
 
-class TestScipyStatsParity:
-    # the families call scipy.special directly; the values must be exactly
-    # those of the scipy.stats distributions they replaced
-    ALPHAS = np.concatenate(
-        [[1e-12, 1e-6, 1e-4], np.linspace(0.001, 0.999, 199), [1 - 1e-4, 1 - 1e-6]]
-    )
-    MS = np.linspace(-9.0, 9.0, 181)
+def _mp_normal(z):
+    """(cdf, pdf) of the standard normal at the float z, to 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(z)
+        return mpmath.ncdf(z), mpmath.npdf(z)
 
-    @pytest.mark.parametrize("mu, sd", [(0.0, 1.0), (0.3, 1.7), (-4.0, 0.2)])
-    def test_normal(self, mu, sd):
-        d = Normal(mu, sd)
-        for a in self.ALPHAS:
-            assert quantile(d, float(a)) == mu + sd * float(stats.norm.ppf(a))
-        for m in self.MS:
-            assert cdf(d, float(m)) == float(stats.norm.cdf((m - mu) / sd))
+
+def _mp_student_t(z, dof):
+    """(cdf, pdf) of the standard t with `dof` at the float z, to 30 digits:
+    the cdf from the regularized incomplete beta I_x(dof/2, 1/2)."""
+    with mpmath.workdps(30):
+        z, nu = mpmath.mpf(z), mpmath.mpf(dof)
+        x = nu / (nu + z * z)
+        tail = mpmath.betainc(nu / 2, mpmath.mpf(0.5), 0, x, regularized=True) / 2
+        log_norm = mpmath.loggamma((nu + 1) / 2) - mpmath.loggamma(nu / 2)
+        return (1 - tail if z > 0 else tail), mpmath.exp(log_norm) / mpmath.sqrt(nu * mpmath.pi) * x ** ((nu + 1) / 2)
+
+
+def _worst_errors(exact, cdf_fn, quantile_fn, alphas, ms):
+    """(worst relative cdf error, worst quantile error) against exact(z) =
+    (cdf, pdf).  A quantile q's error is its distance to the exact quantile,
+    (F(q) - alpha)/f(q) to first order, relative to max(1, |q|)."""
+    cdf_err = 0.0
+    for m in ms:
+        big_f = exact(m)[0]
+        cdf_err = max(cdf_err, float(abs(cdf_fn(m) - big_f) / big_f))
+    q_err = 0.0
+    for alpha in alphas:
+        q = quantile_fn(alpha)
+        big_f, f = exact(q)
+        q_err = max(q_err, float(abs((big_f - mpmath.mpf(alpha)) / f)) / max(1.0, abs(q)))
+    return cdf_err, q_err
+
+
+class TestAccuracyOracles:
+    """The normal and Student-t cdf and quantile, computed in the package,
+    against mpmath at 30 digits on the grids where they once had to equal
+    scipy.stats bit for bit.  Each tolerance is a relative error no larger
+    than scipy.special's own worst error against the same oracle on the
+    same points of its family (measured here: ndtr 1.2e-14 and ndtri
+    4.4e-16; stdtr 7.1e-15 and stdtrit 1.2e-13, both at their worst dof),
+    and each test checks that bound as well as its own."""
+
+    ALPHAS = [float(a) for a in np.concatenate(
+        [[1e-12, 1e-6, 1e-4], np.linspace(0.001, 0.999, 199), [1 - 1e-4, 1 - 1e-6]]
+    )]
+    MS = [float(m) for m in np.linspace(-9.0, 9.0, 181)]
+    DOFS = (0.5, 1.0, 1.5, 2.5, 5.0, 25.414486932271444, 30.0, 1e6)
+    NORMAL_CDF_RTOL, NORMAL_QUANTILE_TOL = 1e-14, 4.3e-16
+    T_CDF_RTOL, T_QUANTILE_TOL = 2e-15, 2e-15
+
+    def test_normal(self):
+        d = Normal(0.0, 1.0)
+        ours = _worst_errors(_mp_normal, lambda m: cdf(d, m), lambda a: quantile(d, a), self.ALPHAS, self.MS)
+        theirs = _worst_errors(
+            _mp_normal, lambda m: float(special.ndtr(m)), lambda a: float(special.ndtri(a)), self.ALPHAS, self.MS
+        )
+        assert ours[0] <= self.NORMAL_CDF_RTOL <= theirs[0]
+        assert ours[1] <= self.NORMAL_QUANTILE_TOL <= theirs[1]
+
+    def test_normal_quantile_is_the_stdlib_as241(self):
+        # the same AS241 as statistics.NormalDist().inv_cdf, bit for bit, from
+        # the centre to the smallest subnormal
+        ps = self.ALPHAS + [10.0**-k for k in range(1, 309)] + [1.0 - 10.0**-k for k in range(1, 17)] + [5e-324]
+        inv_cdf = statistics.NormalDist().inv_cdf
+        assert [_normal_quantile(p).hex() for p in ps] == [inv_cdf(p).hex() for p in ps]
+
+    def test_student_t(self):
+        ours, theirs = [0.0, 0.0], [0.0, 0.0]
+        for dof in self.DOFS:
+            d = StudentT(dof)
+            exact = functools.partial(_mp_student_t, dof=dof)
+            for worst, errors in (
+                (ours, _worst_errors(exact, lambda m: cdf(d, m), lambda a: quantile(d, a), self.ALPHAS, self.MS)),
+                (theirs, _worst_errors(
+                    exact,
+                    lambda m: float(special.stdtr(dof, m)),
+                    lambda a: float(special.stdtrit(dof, a)),
+                    self.ALPHAS,
+                    self.MS,
+                )),
+            ):
+                worst[:] = [max(w, e) for w, e in zip(worst, errors)]
+        assert ours[0] <= self.T_CDF_RTOL <= theirs[0]
+        assert ours[1] <= self.T_QUANTILE_TOL <= theirs[1]
+
+    def test_student_t_far_tails(self):
+        # where x = dof/(dof + z^2) is small the asymptotic expansion fails
+        # and the tail is its positive series, here against that series at
+        # 30 digits: x^a y^(1/2)/(a B(a, 1/2)) sum_k prod_(j<k) x (a + j +
+        # 1/2)/(a + j + 1), a = dof/2
+        for dof in (2.2, 12.0, 29.0, 30.0, 60.0):
+            for z in np.geomspace(10.0, 1e4, 13):
+                with mpmath.workdps(30):
+                    nu, zz = mpmath.mpf(dof), mpmath.mpf(z)
+                    a, x, y = nu / 2, nu / (nu + zz * zz), zz * zz / (nu + zz * zz)
+                    total = term = mpmath.mpf(1)
+                    k = 0
+                    while term > 1e-25 * total:
+                        term *= x * (a + k + mpmath.mpf(0.5)) / (a + k + 1)
+                        total += term
+                        k += 1
+                    exact = mpmath.sqrt(y) * x**a / (a * mpmath.beta(a, mpmath.mpf(0.5))) * total / 2
+                assert float(abs(cdf(StudentT(dof), -float(z)) - exact) / exact) <= self.T_CDF_RTOL
+
+    def test_gamma_ratio(self):
+        # Gamma(a + 1/2)/Gamma(a), the Student-t normalization, and the
+        # exact Stirling coefficients it sums
+        for a in np.logspace(-3.0, 12.0, 151):
+            with mpmath.workdps(30):
+                exact = mpmath.exp(mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a))
+            assert float(abs(_gamma_ratio(float(a)) - exact) / exact) <= 6e-16
+        bernoulli = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510))
+        assert _STIRLING_HALF == tuple(
+            float((Fraction(1, 2**k) - 2) * Fraction(*b) / (k * (k + 1)))
+            for k, b in zip(range(1, 16, 2), bernoulli)
+        )
 
     @pytest.mark.parametrize(
-        "dof, loc, sc", [(5.0, 0.0, 1.0), (2.5, 1.3, 0.7), (1.5, -2.0, 3.0), (30.0, 0.2, 1.1)]
+        "d", [Normal(0.3, 1.7), Normal(-4.0, 0.2)] + [StudentT(dof, 1.3, 0.7) for dof in DOFS], ids=repr
     )
-    def test_student_t(self, dof, loc, sc):
-        d = StudentT(dof, loc, sc)
-        for a in self.ALPHAS:
-            assert quantile(d, float(a)) == loc + sc * float(stats.t.ppf(a, dof))
+    def test_location_and_scale(self, d):
+        # the standardized functions, moved and stretched
+        center, scale = (d.mean, d.stddev) if isinstance(d, Normal) else (d.location, d.scale)
+        unit = Normal(0.0, 1.0) if isinstance(d, Normal) else StudentT(d.dof)
+        for a in self.ALPHAS[::7]:
+            assert quantile(d, a) == center + scale * quantile(unit, a)
+        for m in self.MS[::7]:
+            assert cdf(d, m) == cdf(unit, (m - center) / scale)
+
+    @pytest.mark.parametrize("d", [Normal(0.0, 1.0)] + [StudentT(dof) for dof in DOFS], ids=repr)
+    def test_quantile_of_the_cdf_round_trips(self, d):
+        # below the centre the cdf keeps its relative precision, and its
+        # quantile returns m to within the two functions' errors scaled by
+        # the tail's elasticity F/(m f), at most 1/dof
+        dof = getattr(d, "dof", math.inf)
         for m in self.MS:
-            assert cdf(d, float(m)) == float(stats.t.cdf((m - loc) / sc, dof))
+            if m < 0.0:
+                assert quantile(d, cdf(d, m)) == pytest.approx(m, rel=8e-15 * max(1.0, 1.0 / dof))
+
+    @pytest.mark.parametrize("d", [Normal(0.0, 1.0)] + [StudentT(dof) for dof in DOFS], ids=repr)
+    def test_cdf_does_not_decrease_on_a_fine_grid(self, d):
+        # 1e-7 grids through the centre, the switches of the Student-t
+        # kernel, from the centre's series to the tail's where (dof + 1) y =
+        # 1.2 or y = 0.6, y = m^2/(dof + m^2), and from the tail's series to
+        # the asymptotic expansion at x = 1 - y = 1/4, and further points
+        dof = getattr(d, "dof", 1.0)
+        centre = math.sqrt(min(1.2 * dof / (dof - 0.2) if dof > 0.2 else math.inf, 1.5 * dof))
+        starts = (0.0, centre, -centre, math.sqrt(3.0 * dof), 0.5, 2.0, -3.0, 7.5)
+        for start in starts:
+            values = [cdf(d, start + k * 1e-7) for k in range(-100, 101)]
+            assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestStudentT:
     def test_matches_adaptive_quadrature(self):
-        for dof, loc, sc in [(5.0, 0.0, 1.0), (2.5, 1.3, 0.7), (11.0, -2.0, 3.0)]:
+        for dof, loc, sc in [
+            (5.0, 0.0, 1.0),
+            (2.5, 1.3, 0.7),
+            (11.0, -2.0, 3.0),
+            (2.2, 0.4, 1.3),
+            (30.0, -0.5, 0.8),
+            (1e4, 1.0, 2.0),
+        ]:
             d = StudentT(dof, loc, sc)
             for m in (-3.0, -0.7, 0.0, 1.9, 6.0):
                 for power in (1, 2):
@@ -386,12 +523,18 @@ class TestStudentT:
                     assert partial_moment_minus(d, m, power) == pytest.approx(ref_m, abs=1e-10)
 
     @pytest.mark.parametrize("dof", [2.5, 5.0, 25.414486932271444])
-    def test_smooth_next_to_the_location(self, dof):
-        # second differences on a 1e-7 grid through the location stay at
-        # rounding level; an incomplete beta at x = dof/(dof + z^2), which
-        # rounds 1 - x near z = 0, put 1e-10 jumps into them
+    @pytest.mark.parametrize("start", [None, -0.29288, 0.5, 2.0, -3.0])
+    def test_smooth_next_to_the_location(self, dof, start):
+        # second differences on 1e-7 grids stay at rounding level: through
+        # the location, where an incomplete beta at x = dof/(dof + z^2) that
+        # rounds 1 - x put 1e-10 jumps into them; from -0.29288, where the
+        # second moment once subtracted two t cdfs scaled by about dof and
+        # jumped by 1.4e-10; and at points in both tails
         d = StudentT(dof, -0.2931952221464087, 1.4647138344122048)
-        ms = d.location + (np.arange(-6, 7) + 0.5) * 1e-7
+        if start is None:
+            ms = d.location + (np.arange(-6, 7) + 0.5) * 1e-7
+        else:
+            ms = start + np.arange(13) * 1e-7
         for moment in (partial_moment_plus, partial_moment_minus):
             for power in (1, 2):
                 values = np.array([moment(d, float(m), power) for m in ms])

@@ -245,7 +245,9 @@ class TestQuadraticDualSearch:
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)
     def test_partial_moments_taken_once_per_search(self, monkeypatch, phi):
-        calls = {"plus": 0, "minus": 0, "lambda": 0}
+        # one evaluation of the prior's partial moments per m, and no
+        # single-power call beside it
+        calls = {"moments": 0, "plus": 0, "minus": 0, "lambda": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -254,19 +256,15 @@ class TestQuadraticDualSearch:
 
             return wrapped
 
-        monkeypatch.setattr(
-            robust_core, "partial_moment_plus", counting("plus", robust_core.partial_moment_plus)
-        )
-        monkeypatch.setattr(
-            robust_core, "partial_moment_minus", counting("minus", robust_core.partial_moment_minus)
-        )
-        monkeypatch.setattr(robust_core, "conjugate", counting("lambda", robust_core.conjugate))
+        for name, attr in (("moments", "partial_moments"), ("plus", "partial_moment_plus"),
+                           ("minus", "partial_moment_minus"), ("lambda", "conjugate")):
+            monkeypatch.setattr(robust_core, attr, counting(name, getattr(robust_core, attr)))
         d = Normal(0.3, 1.2)
         for m in (-2.0, 0.1, 3.0):
-            calls.update({"plus": 0, "minus": 0, "lambda": 0})
+            calls.update(dict.fromkeys(calls, 0))
             value, _, _, _ = _detail(d, AsymQuadratic(0.7), P2, phi, m)
             assert math.isfinite(value)
-            assert calls["plus"] == calls["minus"] == 1
+            assert calls["moments"] == 1 and calls["plus"] == calls["minus"] == 0
             assert calls["lambda"] <= len(phi.conjugate_pieces()) + 2
 
     @pytest.mark.parametrize("phi", SEARCHED_PENALTIES)

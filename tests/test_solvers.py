@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import brentq
 
 from wassrisk import Empirical, NoConvergence, Normal, StudentT, cli, expectile, robust_core
+from wassrisk.risk_measures import _ball_stats
 from wassrisk.solvers import _brent, increasing_root
 
 
@@ -106,12 +107,13 @@ def test_widened_bracket_hands_its_end_values_on():
 
 @pytest.mark.parametrize("d, count", [(Normal(0.0, 1.0), 9), (StudentT(7.3, 0.1, 1.2), 9)])
 def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
-    # the root's slope takes no expectation of the loss: that is taken once,
-    # at the root
+    # the root probes no m twice and its slope takes the prior's first
+    # partial moments once per m; the value at the root takes the second
+    # ones, at that one m
     ms: list[float] = []
     root = robust_core.increasing_root
-    expected_loss = robust_core.expected_loss
-    values = []
+    partial_moments = robust_core.partial_moments
+    evaluated: list[tuple[float, int]] = []
 
     def recording_root(f, lo, hi, xtol):
         def g(z):
@@ -120,15 +122,33 @@ def test_expectile_root_evaluates_no_m_twice(monkeypatch, d, count):
 
         return root(g, lo, hi, xtol)
 
-    def recording_loss(*args):
-        values.append(expected_loss(*args))
-        return values[-1]
+    def recording_moments(d, m, power=2):
+        evaluated.append((m, power))
+        return partial_moments(d, m, power)
 
     monkeypatch.setattr(robust_core, "increasing_root", recording_root)
-    monkeypatch.setattr(robust_core, "expected_loss", recording_loss)
+    monkeypatch.setattr(robust_core, "partial_moments", recording_moments)
     expectile(d, 0.8)
-    assert len(ms) == count and len(values) == 1
-    assert len(set(ms)) == len(ms)
+    assert len(ms) == count and len(set(ms)) == len(ms)
+    first = [m for m, power in evaluated if power == 1]
+    assert len(set(first)) == len(first) == count
+    assert [power for _, power in evaluated].count(2) == 1
+
+
+@pytest.mark.parametrize("d", [Normal(0.0, 1.0), StudentT(7.3, 0.1, 1.2)])
+def test_ball_expectile_takes_one_evaluation_per_m(monkeypatch, d):
+    # under a ball lambda* moves with m, so the slope at m solves the dual
+    # there: both read one evaluation of the prior's partial moments
+    partial_moments = robust_core.partial_moments
+    evaluated: list[float] = []
+
+    def recording_moments(d, m, power=2):
+        evaluated.append(m)
+        return partial_moments(d, m, power)
+
+    monkeypatch.setattr(robust_core, "partial_moments", recording_moments)
+    _, _, dual_solves = _ball_stats(d, 0.8, 0.3)
+    assert len(evaluated) == len(set(evaluated)) == dual_solves
 
 
 def test_expectile_on_atoms_counts_its_table_probes(monkeypatch):
