@@ -262,6 +262,9 @@ _WINDOW_POINTS = 200_001  # a wider window gets a coarser spacing
 _GRID_CAP = 1 << 19  # points per shared grid; atom sets needing more are split
 _ZOOM_BUDGET = 4096  # points per refinement round, spread over the atoms
 _FLAT = 4.0 * np.finfo(float).eps  # relative value spread of a bracket flat to rounding
+_HALF_WIDTH = 2.0**-10  # a parabolic step's half-width per bracket width, above rounding
+_STEP = np.array([[-1.0], [0.0], [1.0]])  # a parabolic step's points, in half-widths from its centre
+_COLUMNS = np.array([[-1], [0], [1]])  # the grid bracket's columns around the argmax
 
 
 def _cost(d: np.ndarray, p: float) -> np.ndarray:
@@ -340,6 +343,8 @@ def _monotone_argmax(
             j = int(np.argmax(vals))
             k = np.array([c0 + j])
             arg[m], best[m] = c0 + j, vals[j]
+            if r_lo[0] == r_hi[0]:  # the last open range held one row
+                break
         else:
             counts = hi - lo + 1
             starts = np.cumsum(counts) - counts
@@ -403,7 +408,10 @@ def _sorted_sup(
     (`_monotone_argmax`) for p != 2, a single atom (where that search is
     already one pass) or a grid where gain - lam*grid^2 is not strictly
     concave.  Both give the same column and row maximum, bit for bit, but
-    where two grid values of a row tie to rounding."""
+    where two grid values of a row tie to rounding.  Parabolic steps
+    (`_parabolic_steps`) refine each argmax under p > 1; the cell zoom
+    (`_cell_zoom`) takes the atoms whose parabola misses and, under p = 1,
+    every atom."""
     lo, hi = xs - radius, xs + radius
     grid = _shared_grid(lo, hi, float(step.min()))
     if grid is None:
@@ -422,13 +430,119 @@ def _sorted_sup(
     else:
         best = gain[k] - lam * _cost(grid[k] - xs, p)
 
-    # zoom on [y_{k-1}, y_{k+1}]: every round evaluates a local grid of
-    # `cells` cells per atom in one loss call and keeps the two cells around
-    # its argmax, at most until the bracket is below 1e-12 relative.  About
-    # _ZOOM_BUDGET points a round balance the per-round overhead against the
-    # points evaluated: few atoms take few wide rounds, many take narrow ones.
+    # refine from the bracket [y_{k-1}, y_{k+1}], clipped to the window;
+    # under p = 1 a convex loss less lam*|x - y| is convex on each side of
+    # y = x, so its maximum is that kink (or a window edge) and no parabola
+    # fits it
     a = np.maximum(grid[np.maximum(k - 1, 0)], lo)
     b = np.minimum(grid[np.minimum(k + 1, grid.size - 1)], hi)
+    if p == 1.0:
+        y, zoom = 0.5 * (a + b), np.arange(xs.size)
+    else:
+        y, zoom = _parabolic_steps(loss, p, lam, xs, grid, gain, k, first, last, best, a, b)
+    if zoom.size:
+        best[zoom], y[zoom] = _cell_zoom(loss, p, lam, xs[zoom], a[zoom], b[zoom], best[zoom])
+    return best, y
+
+
+def _parabolic_steps(
+    loss: LossSpec, p: float, lam: float, xs: np.ndarray, grid: np.ndarray, gain: np.ndarray,
+    k: np.ndarray, first: np.ndarray, last: np.ndarray, best: np.ndarray, a: np.ndarray, b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded parabolic steps (Brent 1973, ch. 5) from every atom's
+    grid bracket, its grid argmax c and the two grid points a < c < b around
+    it, towards its y*.
+
+    A round fits the parabola through each bracket and evaluates, in one
+    loss call for all atoms, its vertex v and v -+ w, where w is the larger
+    of the bracket's width / 1024 and the width r at which the parabola
+    falls by the rounding of the objective's terms at its centre,
+    4*eps*max(1, |l(c)| + lam*|c - x|^p).  On a hit (f(v) tops both
+    neighbours, or all three values lie within the rounding at v) the three
+    points become the bracket, and the atom stops once they lie within that
+    rounding or w = r, below which the values no longer place y*.  An atom
+    misses where its bracket has no parabola (clipped at its window's edge,
+    or values that are flat or not finite) or where f(v) does not top its
+    neighbours (a kinked maximum, or a vertex off by more than w); it goes to
+    the cell zoom with its last bracket.
+
+    Raises `best` to the largest value of an atom's hits and writes the
+    brackets of the atoms to zoom into a and b, in place.  Returns y* (the
+    final vertex; the bracket's centre for atoms to zoom) and the atoms to
+    zoom."""
+    y = 0.5 * (a + b)
+    # rows: the bracket's points and values, the rounding at its centre, the
+    # best value of its hits, and the atom; a bracket clipped at its window's
+    # edge repeats its argmax and so has no parabola
+    cols = np.minimum(np.maximum(k + _COLUMNS, first), last)
+    state = np.empty((9, xs.size))
+    state[0:3] = grid[cols]
+    cost = lam * _cost(state[0:3] - xs, p)
+    lv = gain[cols]
+    np.subtract(lv, cost, out=state[3:6])
+    state[6] = _FLAT * np.maximum(1.0, np.abs(lv[1]) + cost[1])
+    state[7] = best
+    state[8] = xs
+    live = np.arange(xs.size)
+    zoom = []
+    stepped = False
+
+    def retire(out: np.ndarray) -> None:
+        gone = live[out]
+        zoom.append(gone)
+        if stepped:
+            a[gone], b[gone], best[gone] = state[0, out], state[2, out], state[7, out]
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # such brackets have no parabola
+        while live.size:
+            d = state[1:3] - state[0:2]
+            slope = (state[4:6] - state[3:5]) / d
+            width = state[2] - state[0]
+            curv = (slope[0] - slope[1]) / width  # minus half the parabola's second derivative
+            usable = (curv > 0.0) & (curv < INF)
+            if np.count_nonzero(usable) < live.size:
+                retire(~usable)
+                live, state, d, slope, width, curv = (
+                    live[usable], state[:, usable], d[:, usable], slope[:, usable], width[usable], curv[usable]
+                )
+                if not live.size:
+                    break
+            v = state[0] + 0.5 * (d[0] + slope[0] / curv)
+            r = np.sqrt(state[6] / curv)
+            w = np.maximum(width * _HALF_WIDTH, r)
+            pts = v + w * _STEP
+            lv = np.asarray(loss_value(loss, pts.ravel()), dtype=float).reshape(pts.shape)
+            cost = lam * _cost(pts - state[8], p)
+            f = lv - cost
+            rho = _FLAT * np.maximum(1.0, np.abs(lv[1]) + cost[1])
+            top = np.maximum(np.maximum(f[0], f[2]), f[1])
+            flat = top - np.minimum(np.minimum(f[0], f[2]), f[1]) <= rho
+            tops = f[1] >= top
+            hit = flat | tops
+            done = flat | (tops & (w == r))
+            top = np.maximum(state[7], top)
+            if np.count_nonzero(hit) < live.size or np.count_nonzero(done):
+                out = live[done]
+                best[out], y[out] = top[done], v[done]
+                retire(~hit)
+                keep = hit & ~done
+                live, state, pts, f, rho, top = live[keep], state[:, keep], pts[:, keep], f[:, keep], rho[keep], top[keep]
+            state[0:3], state[3:6], state[6], state[7] = pts, f, rho, top
+            stepped = True
+    return y, np.concatenate(zoom) if zoom else live
+
+
+def _cell_zoom(
+    loss: LossSpec, p: float, lam: float, xs: np.ndarray, a: np.ndarray, b: np.ndarray, best: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Suprema and their argmax points by zooming on the brackets [a, b],
+    from the values `best` already seen.
+
+    Every round evaluates a local grid of `cells` cells per atom in one loss
+    call and keeps the two cells around its argmax, at most until the
+    bracket is below 1e-12 relative.  About _ZOOM_BUDGET points a round
+    balance the per-round overhead against the points evaluated: few atoms
+    take few wide rounds, many take narrow ones."""
     tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     cells = 2 ** min(max(int(math.log2(_ZOOM_BUDGET / xs.size)), 3), 10)
     need = float(np.max((b - a) / tol))
@@ -466,11 +580,16 @@ def _numeric_sup(
     finest spacing any single window would get (1e-3, coarser only for
     windows wider than 200 units).  Every atom's grid argmax comes from one
     envelope pass under p = 2 when the loss minus lam*y^2 is strictly concave
-    on the grid, and from a monotone matrix search otherwise.  A batched zoom
-    then refines all atoms together and stops at the first round where every
-    atom's bracket is flat to rounding (both neighbours of its best point
-    within 4*eps*max(1, |best|) of it), or at a relative bracket width of
-    1e-12, whichever comes first; the bracket's centre is the maximizing y.
+    on the grid, and from a monotone matrix search otherwise.  Under p > 1,
+    batched parabolic steps then refine every atom from its grid argmax and
+    two neighbours (`_parabolic_steps`), one or two rounds of 3 points for a
+    smooth maximum, to where the values no longer place y*; the final vertex
+    is the maximizing y.  Atoms whose parabola misses, and every atom under
+    p = 1, go to a batched zoom (`_cell_zoom`) that stops at the first round
+    where every atom's bracket is flat to rounding (both neighbours of its
+    best point within 4*eps*max(1, |best|) of it), or at a relative bracket
+    width of 1e-12, whichever comes first; the bracket's centre is the
+    maximizing y.
     """
     p = cost.p
     lx = np.asarray(loss_value(loss, xs), dtype=float)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from wassrisk import (
     PowerLoss,
     UncertifiedGrowth,
     Empirical,
+    LinearPenalty,
     check_L_membership,
     expected_transform,
     finiteness_threshold,
     lambda_c_transform,
     lambda_c_transform_many,
     loss_value,
+    robust_functional,
 )
 from wassrisk import losses as L
 
@@ -310,9 +313,9 @@ class TestEnvelopeArgmax:
 
     def test_zoom_stops_on_a_flat_bracket(self):
         # loss points per call: the growth certificate's grid, the atoms, the
-        # shared grid, then one round of 512 cells + 1 per atom at a time
-        # until the kept bracket is flat to rounding: 2 rounds where the
-        # round limit, a bracket of 1e-12 relative, would take 4
+        # shared grid, then one parabolic round of 3 points per atom at a
+        # time until w reaches the width where the values stop placing y*:
+        # 2 rounds, where the cell zoom took 2 rounds of 512 cells + 1
         sizes = []
 
         def h(y):
@@ -320,9 +323,114 @@ class TestEnvelopeArgmax:
             return 0.3 * np.maximum(y, 0.0) ** 2 + 0.7 * np.maximum(-y, 0.0) ** 2
 
         got = lambda_c_transform_many(CustomLoss(h, 0.7, 2.0), P2, 1.5, np.linspace(-2.0, 2.0, 8))
-        assert sizes == [1005, 8, 20001, 8 * 513, 8 * 513]
+        assert sizes == [1005, 8, 20001, 8 * 3, 8 * 3]
         want = [lambda_c_transform(AsymQuadratic(0.3), P2, 1.5, float(x)) for x in np.linspace(-2.0, 2.0, 8)]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+
+def power_closed_form(a, b, p, lam, xs):
+    """Transform and maximizer of a*(y^+)^p + b*(y^-)^p under |x - y|^p for
+    p > 1 and lam > max(a, b): with t = (a/lam)^(1/(p-1)), x > 0 has
+    y* = x/(1 - t) and value a*(1 - t)^(1-p)*x^p, and x < 0 the same with b."""
+    t, s = (a / lam) ** (1.0 / (p - 1.0)), (b / lam) ** (1.0 / (p - 1.0))
+    value = np.where(xs > 0.0, a * (1.0 - t) ** (1.0 - p), b * (1.0 - s) ** (1.0 - p)) * np.abs(xs) ** p
+    return value, np.where(xs > 0.0, xs / (1.0 - t), xs / (1.0 - s))
+
+
+class TestParabolicSteps:
+    """Each atom's grid argmax is refined by parabolic steps; atoms whose
+    parabola misses go to the cell zoom."""
+
+    @staticmethod
+    def step_off(loss, p, lam, xs, grid, gain, k, first, last, best, a, b):
+        """Every atom to the cell zoom from its grid bracket."""
+        return 0.5 * (a + b), np.arange(xs.size)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_power_twins_match_their_closed_forms(self, rng, p):
+        cost = CostExponent(p)
+        for n in (1, 13, 250, 1000):
+            a = float(rng.uniform(0.1, 0.9))
+            lam = max(a, 1.0 - a) + float(rng.uniform(0.05, 3.0))
+            xs = rng.normal(0.0, rng.uniform(0.5, 3.0), n)
+            sup, arg = L._numeric_sup(power_custom(a, 1.0 - a, p), cost, lam, xs, max(a, 1.0 - a))
+            value, y = power_closed_form(a, 1.0 - a, p, lam, xs)
+            np.testing.assert_allclose(sup, value, rtol=1e-12, atol=1e-12)
+            assert np.all(np.abs(arg - y) <= 1e-7 * np.maximum(1.0, np.abs(y)))
+            if p == 2.0:
+                closed = lambda_c_transform_many(AsymQuadratic(a), P2, lam, xs)
+                np.testing.assert_allclose(sup, closed, rtol=1e-12, atol=1e-12)
+
+    def test_no_step_at_the_kink_of_a_linear_cost(self, rng, monkeypatch):
+        # under p = 1 a convex loss less lam*|x - y| peaks at the kink y = x
+        def never(*args):
+            raise AssertionError("no parabolic step under p = 1")
+
+        monkeypatch.setattr(L, "_parabolic_steps", never)
+        xs = rng.uniform(-3.0, 3.0, 12)
+        got = lambda_c_transform_many(pinball_custom(0.3), P1, 0.9, xs)
+        np.testing.assert_allclose(got, [lambda_c_transform(Pinball(0.3), P1, 0.9, float(x)) for x in xs], atol=1e-12)
+
+    def test_kinked_maximum_misses_to_the_zoom(self, rng, monkeypatch):
+        # -|y| - lam*(x - y)^2 peaks at its kink y = 0 for |x| < 1/(2*lam):
+        # every atom misses, so the result is the zoom's, bit for bit
+        loss = CustomLoss(lambda y: -np.abs(y), 0.0, 1.0)
+        xs = rng.uniform(-0.2, 0.2, 12)
+        got = lambda_c_transform_many(loss, P2, 2.0, xs)
+        np.testing.assert_allclose(got, -2.0 * xs * xs, rtol=0.0, atol=1e-12)
+        monkeypatch.setattr(L, "_parabolic_steps", self.step_off)
+        assert got.tobytes() == lambda_c_transform_many(loss, P2, 2.0, xs).tobytes()
+
+    def test_convex_kink_under_a_quadratic_cost(self, rng):
+        # the pinball twin's kink at 0 is convex, never a maximum of the loss
+        # less lam*(x - y)^2: its atoms step like smooth ones
+        xs = rng.uniform(-3.0, 3.0, 12)
+        loss = pinball_custom(0.3)
+        lam = finiteness_threshold(loss, P2) + 0.6
+        got = lambda_c_transform_many(loss, P2, lam, xs)
+        np.testing.assert_allclose(got, reference_many(loss, P2, lam, xs), rtol=0.0, atol=1e-9)
+
+    def test_maximum_at_a_clipped_window_edge(self, monkeypatch):
+        # a ramp on (2.00001, 2.09), off the growth certificate's grid, puts
+        # the maximum at the right end 2.02 of the atom's window [-1.98, 2.02]
+        def h(y):
+            return 0.5 * np.maximum(y, 0.0) + np.where((y > 2.00001) & (y < 2.09), 1e3 * (y - 2.0), 0.0)
+
+        loss = CustomLoss(h, 0.5, 1.0)
+        got = lambda_c_transform_many(loss, P2, 2.0, [0.02])
+        assert got[0] == pytest.approx(h(2.02) - 2.0 * 2.0**2, rel=1e-12)
+        assert got[0] == pytest.approx(reference_sup(loss, P2, 2.0, 0.02), abs=1e-9)
+        monkeypatch.setattr(L, "_parabolic_steps", self.step_off)
+        assert got.tobytes() == lambda_c_transform_many(loss, P2, 2.0, [0.02]).tobytes()
+
+    def test_row_of_infinite_values(self):
+        # the window of 59 holds the barrier; that of -5 does not
+        barrier = CustomLoss(lambda y: np.where((y > 60.0) & (y < 70.0), np.inf, np.maximum(y, 0.0)), 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lambda_c_transform_many(barrier, P2, 3.0, [-5.0, 59.0])
+        assert got[1] == math.inf
+        assert got[0] == pytest.approx(reference_sup(barrier, P2, 3.0, -5.0), abs=1e-9)
+
+    def test_near_the_growth_constant(self):
+        # the uniform {-1, 0.2, 0.5, 2} at m = 0.1 and lam = C*(1 + 1e-3) for
+        # the twin of AsymQuadratic(0.3), C = 0.7: y* = lam*x/(lam - C) lies
+        # about 1000|x| out and l(y*) and the cost are about 1000 times the
+        # transform, so a value is known to their rounding, 4*eps*max(1,
+        # |l(y*)| + lam*(y* - x)^2), and no closer
+        lam = 0.7 * (1.0 + 1e-3)
+        for m in np.linspace(-0.5, 0.5, 21):
+            xs = np.array([-1.0, 0.2, 0.5, 2.0]) - m
+            sup, arg = L._numeric_sup(quad_custom(0.3), P2, lam, xs, 0.7)
+            value, y = power_closed_form(0.3, 0.7, 2.0, lam, xs)
+            terms = np.asarray(loss_value(AsymQuadratic(0.3), y)) + lam * (y - xs) ** 2
+            rounding = 4.0 * np.finfo(float).eps * np.maximum(1.0, terms)
+            assert np.all(np.abs(sup - value) <= rounding)
+            assert np.all(np.abs(arg - y) <= 1e-6 * np.maximum(1.0, np.abs(y)))
+        d = Empirical.uniform([-1.0, 0.2, 0.5, 2.0])
+        got = robust_functional(d, quad_custom(0.3), P2, LinearPenalty(lam), 0.1)
+        want = robust_functional(d, AsymQuadratic(0.3), P2, LinearPenalty(lam), 0.1)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCustomLossEquality:

@@ -2,6 +2,7 @@
 
     python tools/workload_outputs.py diff BASE CHANGE --seeds 1 2
     python tools/workload_outputs.py scan TREE --ops 40000 --seeds 1-16
+    python tools/workload_outputs.py scan TREE --workload custom_dual --ops 2000 --seeds 1-16
 
 BASE, CHANGE and TREE are checkouts of this repository; `--seeds` takes
 seeds (`1 2`) or ranges (`1-16`).  Each run imports the tree's `src/wassrisk`
@@ -17,9 +18,11 @@ operation that raises by its exception type and message.  Each workload ends
 with a tally of the differing fields (a CSV by column) over all its differing
 operations, of which the first few per seed are shown.
 
-`scan` runs `solve_stream` operations and every oracle check, and prints
-every failure: an operation fails when it raises, returns `converged=False`,
-or fails its oracle, as in the benchmark (`perfbench/workload.py`).
+`scan` runs the operations of one workload (`--workload`, `solve_stream` by
+default; `custom_dual` is the one that reaches the numeric supremum) with
+every oracle check, and prints every failure: an operation fails when it
+raises, returns `converged=False`, or fails its oracle, as in the benchmark
+(`perfbench/workload.py`).
 
 Both exit with 1 when they find a difference or a failure, 0 otherwise.
 """
@@ -180,12 +183,12 @@ def scan(args) -> int:
     with tempfile.TemporaryDirectory(prefix="workload-outputs-") as tmp:
         for seed in _seeds(args.seeds):
             start = time.monotonic()
-            lines = _spawn("scan", args.tree, "solve_stream", seed, args.ops, os.path.join(tmp, str(seed)))
+            lines = _spawn("scan", args.tree, args.workload, seed, args.ops, os.path.join(tmp, str(seed)))
             for line in lines:
                 print(line)
             ops += args.ops
             failed += len(lines)
-            print(f"solve_stream seed {seed}: {len(lines)} of {args.ops} operations failed "
+            print(f"{args.workload} seed {seed}: {len(lines)} of {args.ops} operations failed "
                   f"({time.monotonic() - start:.0f} s)", flush=True)
     print(f"total: {failed} of {ops} operations failed")
     return 1 if failed else 0
@@ -204,6 +207,7 @@ def main(argv=None) -> int:
     d.add_argument("--seeds", nargs="+", default=["1"])
     s = sub.add_parser("scan", help="run operations with their oracle checks and list the failures")
     s.add_argument("tree")
+    s.add_argument("--workload", choices=list(DIFF_OPS), default="solve_stream")
     s.add_argument("--ops", type=int, default=40000)
     s.add_argument("--seeds", nargs="+", default=["1"])
     args = ap.parse_args(argv)
